@@ -35,8 +35,8 @@
 // Writes are redirected to the leader with a 307. Followers chain — a
 // follower re-serves /api/v1/journal and the event stream, so relay tiers
 // fan out reads without touching the leader. Promote a follower with
-// POST /api/v1/promote (or automatically after -promote-after of leader
-// silence); it resumes the run on exactly the journal prefix it applied.
+// POST /api/v1/promote; it resumes the run on exactly the journal prefix it
+// applied.
 //
 //	abgd -addr :7134 -journal /var/lib/abgd-b -follow http://leader:7133
 //
@@ -63,14 +63,16 @@
 // merged SSE stream, shard-labelled /metrics); /api/v1/shards exposes the
 // per-shard routing and allocation state. -journal gives each shard its own
 // journal under shard-<k>/ subdirectories, so recovery stays exact per
-// shard. -cluster is incompatible with -follow.
+// shard. -cluster is incompatible with -follow and -group.
 //
 //	abgd -addr :7133 -cluster 4 -P 128 -journal /var/lib/abgd
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -81,51 +83,94 @@ import (
 	"abg/internal/server"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", ":7133", "HTTP listen address")
-		p         = flag.Int("P", 128, "machine size (processors)")
-		l         = flag.Int("L", 1000, "quantum length (steps)")
-		schedName = flag.String("scheduler", "abg", "scheduler: abg | agreedy")
-		r         = flag.Float64("r", 0.2, "ABG convergence rate in [0,1)")
-		rho       = flag.Float64("rho", 2, "A-Greedy multiplicative factor (>1)")
-		delta     = flag.Float64("delta", 0.8, "A-Greedy utilization threshold in (0,1)")
-		clock     = flag.String("clock", "wall", "quantum clock: wall (one boundary per tick) | virtual (fast-forward)")
-		tick      = flag.Duration("tick", 100*time.Millisecond, "wall-clock duration of one quantum (wall mode)")
-		queue     = flag.Int("queue", 4096, "admission queue bound (excess submissions get 429)")
-		seed      = flag.Uint64("seed", 2008, "default workload seed for submissions without one")
-		faultSpec = flag.String("fault", "", `fault-injection spec, e.g. "drop=0.3,cap=churn:0.5:16,seed=7" (see internal/fault)`)
-		journal   = flag.String("journal", "", "directory for the write-ahead journal; empty disables persistence")
-		snapEvery = flag.Int("snapshot-every", 64, "quanta between engine snapshots in the journal")
-		fsync     = flag.String("fsync", "always", "journal durability: always (fsync per record) | snapshot | never")
-		logSpec   = flag.String("log", "info", `log levels: "info" or "info,server=debug,events=debug"`)
-		debugAddr = flag.String("debug-addr", "", "serve expvar + pprof on this address (e.g. :6060)")
-		ring      = flag.Int("timeline-ring", 0, "per-job quantum-timeline ring depth behind /api/v1/jobs/{id}/timeline (0 = default 256, negative disables)")
-		lagMax    = flag.Int("healthz-lag-max", 0, "journal-lag ceiling before /healthz degrades (0 = default 1024)")
-		ageMax    = flag.Int("healthz-snapshot-age-max", 0, "snapshot-age ceiling in quanta before /healthz degrades (0 = 8× -snapshot-every)")
-		stepWork  = flag.Int("step-workers", 0, "goroutines stepping independent jobs per quantum (0/1 serial, -1 = one per CPU); results and journals are identical at every setting")
-		follow    = flag.String("follow", "", "run as a hot standby tailing this leader URL (requires -journal); serves reads, redirects writes")
-		promAfter = flag.Duration("promote-after", 0, "self-promote after the leader has been unreachable this long (0 = manual /api/v1/promote only; incompatible with -group)")
-		group     = flag.String("group", "", "comma-separated member URLs of a self-healing replication group (requires -journal and -advertise); quorum elections with epoch fencing replace manual promotion")
-		advertise = flag.String("advertise", "", "base URL peers and clients reach this daemon at (required with -group)")
-		probeEv   = flag.Duration("probe-every", 0, "failover supervisor probe interval (0 = 500ms default)")
-		failAfter = flag.Duration("fail-after", 0, "leader-silence window before the group elects a replacement (0 = 2s default)")
-		shards    = flag.Int("cluster", 0, "run N engine shards behind one front door (0 = single engine); incompatible with -follow")
-		clWorkers = flag.Int("cluster-workers", 0, "goroutines stepping shards per cluster round (0 = one per CPU); results are identical at every setting")
-		version   = cli.VersionFlag()
-	)
-	flag.Parse()
-	cli.ExitIfVersion("abgd", *version)
+// options is abgd's checked command line.
+type options struct {
+	daemon    server.Config
+	shards    int // > 0 runs a cluster of this many shards instead
+	workers   int // -cluster-workers
+	logSpec   string
+	debugAddr string
+	version   bool
+}
 
-	if err := obs.SetupDefaultLogger(*logSpec); err != nil {
+// parseFlags parses abgd's command line and checks the flag combinations;
+// flag errors and usage go to stderr.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	fs := flag.NewFlagSet("abgd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		o     options
+		d     = &o.daemon
+		clock string
+		group string
+	)
+	fs.StringVar(&d.Addr, "addr", ":7133", "HTTP listen address")
+	fs.IntVar(&d.P, "P", 128, "machine size (processors)")
+	fs.IntVar(&d.L, "L", 1000, "quantum length (steps)")
+	fs.StringVar(&d.Scheduler, "scheduler", "abg", "scheduler: abg | agreedy")
+	fs.Float64Var(&d.R, "r", 0.2, "ABG convergence rate in [0,1)")
+	fs.Float64Var(&d.Rho, "rho", 2, "A-Greedy multiplicative factor (>1)")
+	fs.Float64Var(&d.Delta, "delta", 0.8, "A-Greedy utilization threshold in (0,1)")
+	fs.StringVar(&clock, "clock", "wall", "quantum clock: wall (one boundary per tick) | virtual (fast-forward)")
+	fs.DurationVar(&d.Tick, "tick", 100*time.Millisecond, "wall-clock duration of one quantum (wall mode)")
+	fs.IntVar(&d.QueueLimit, "queue", 4096, "admission queue bound (excess submissions get 429)")
+	fs.Uint64Var(&d.Seed, "seed", 2008, "default workload seed for submissions without one")
+	fs.StringVar(&d.FaultSpec, "fault", "", `fault-injection spec, e.g. "drop=0.3,cap=churn:0.5:16,seed=7" (see internal/fault)`)
+	fs.StringVar(&d.JournalDir, "journal", "", "directory for the write-ahead journal; empty disables persistence")
+	fs.IntVar(&d.SnapshotEvery, "snapshot-every", 64, "quanta between engine snapshots in the journal")
+	fs.StringVar(&d.Fsync, "fsync", "always", "journal durability: always (fsync per record) | snapshot | never")
+	fs.StringVar(&o.logSpec, "log", "info", `log levels: "info" or "info,server=debug,events=debug"`)
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve expvar + pprof on this address (e.g. :6060)")
+	fs.IntVar(&d.TimelineRing, "timeline-ring", 0, "per-job quantum-timeline ring depth behind /api/v1/jobs/{id}/timeline (0 = default 256, negative disables)")
+	fs.IntVar(&d.JournalLagMax, "healthz-lag-max", 0, "journal-lag ceiling before /healthz degrades (0 = default 1024)")
+	fs.IntVar(&d.SnapshotAgeMax, "healthz-snapshot-age-max", 0, "snapshot-age ceiling in quanta before /healthz degrades (0 = 8× -snapshot-every)")
+	fs.IntVar(&d.StepWorkers, "step-workers", 0, "goroutines stepping independent jobs per quantum (0/1 serial, -1 = one per CPU); results and journals are identical at every setting")
+	fs.StringVar(&d.FollowURL, "follow", "", "run as a hot standby tailing this leader URL (requires -journal); serves reads, redirects writes")
+	fs.StringVar(&group, "group", "", "comma-separated member URLs of a self-healing replication group (requires -journal and -advertise); quorum elections with epoch fencing replace manual promotion")
+	fs.StringVar(&d.Advertise, "advertise", "", "base URL peers and clients reach this daemon at (required with -group)")
+	fs.DurationVar(&d.ProbeEvery, "probe-every", 0, "failover supervisor probe interval (0 = 500ms default)")
+	fs.DurationVar(&d.FailAfter, "fail-after", 0, "leader-silence window before the group elects a replacement (0 = 2s default)")
+	fs.IntVar(&o.shards, "cluster", 0, "run N engine shards behind one front door (0 = single engine); incompatible with -follow and -group")
+	fs.IntVar(&o.workers, "cluster-workers", 0, "goroutines stepping shards per cluster round (0 = one per CPU); results are identical at every setting")
+	version := cli.VersionFlagSet(fs)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() > 0 {
+		return o, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	o.version = *version
+	d.Clock = server.ClockMode(clock)
+	d.Group = splitGroup(group)
+	if o.shards > 0 {
+		if d.FollowURL != "" {
+			return o, errors.New("-cluster and -follow are mutually exclusive: a cluster's shards replicate per shard, not as one journal")
+		}
+		if len(d.Group) > 0 {
+			return o, errors.New("-cluster and -group are mutually exclusive: group elections run per daemon, not per shard")
+		}
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "abgd: %v\n", err)
+		os.Exit(2)
+	}
+	cli.ExitIfVersion("abgd", o.version)
+
+	if err := obs.SetupDefaultLogger(o.logSpec); err != nil {
 		fatal(err)
 	}
-
-	bus := obs.NewBus()
-	if *debugAddr != "" {
-		// The server attaches engine metrics to its registry (obs.Default
+	if o.debugAddr != "" {
+		// The server feeds engine metrics into its registry (obs.Default
 		// below), so /debug/vars and /metrics read the same numbers.
-		dbg, err := obs.StartDebugServer(*debugAddr, nil)
+		dbg, err := obs.StartDebugServer(o.debugAddr, nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -133,25 +178,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[debug server on http://%s]\n", dbg.Addr())
 	}
 
-	if *shards > 0 {
-		if *follow != "" {
-			fatal(fmt.Errorf("-cluster and -follow are mutually exclusive: a cluster's shards replicate per shard, not as one journal"))
-		}
-		if *group != "" {
-			fatal(fmt.Errorf("-cluster and -group are mutually exclusive: group elections run per daemon, not per shard"))
-		}
+	if o.shards > 0 {
+		shard := o.daemon
+		addr := shard.Addr
+		shard.Addr = ""
 		cl, err := cluster.New(cluster.Config{
-			Addr: *addr, Shards: *shards, Workers: *clWorkers,
-			Metrics: obs.Default,
-			Shard: server.Config{
-				P: *p, L: *l,
-				Scheduler: *schedName, R: *r, Rho: *rho, Delta: *delta,
-				Clock: server.ClockMode(*clock), Tick: *tick,
-				QueueLimit: *queue, FaultSpec: *faultSpec, Seed: *seed,
-				JournalDir: *journal, SnapshotEvery: *snapEvery, Fsync: *fsync,
-				TimelineRing: *ring, JournalLagMax: *lagMax, SnapshotAgeMax: *ageMax,
-				StepWorkers: *stepWork,
-			},
+			Addr: addr, Shards: o.shards, Workers: o.workers,
+			Metrics: obs.Default, Shard: shard,
 		})
 		if err != nil {
 			fatal(err)
@@ -169,19 +202,9 @@ func main() {
 		return
 	}
 
-	srv, err := server.New(server.Config{
-		Addr: *addr, P: *p, L: *l,
-		Scheduler: *schedName, R: *r, Rho: *rho, Delta: *delta,
-		Clock: server.ClockMode(*clock), Tick: *tick,
-		QueueLimit: *queue, FaultSpec: *faultSpec, Seed: *seed,
-		JournalDir: *journal, SnapshotEvery: *snapEvery, Fsync: *fsync,
-		Bus: bus, Metrics: obs.Default, TimelineRing: *ring,
-		JournalLagMax: *lagMax, SnapshotAgeMax: *ageMax,
-		StepWorkers: *stepWork,
-		FollowURL:   *follow, PromoteAfter: *promAfter,
-		Group: splitGroup(*group), Advertise: *advertise,
-		ProbeEvery: *probeEv, FailAfter: *failAfter,
-	})
+	cfg := o.daemon
+	cfg.Metrics = obs.Default
+	srv, err := server.New(cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -55,12 +56,11 @@ type Config struct {
 // shard is one engine shard plus its cluster-side bookkeeping.
 type shard struct {
 	srv *server.Server
-	bus *obs.Bus
 	tap *shardTap
 
 	routed atomic.Int64 // submissions (jobs) routed here, this process
 
-	// Round telemetry, written by the driver, read by /api/v1/shards.
+	// Round telemetry, written by the clock, read by /api/v1/shards.
 	mu     sync.Mutex
 	desire int
 	share  int
@@ -78,33 +78,33 @@ type Cluster struct {
 	shards []*shard
 	policy alloc.Multi
 	router Router
-	hub    *mergedHub
+	hub    *server.EventHub
+	clock  *server.Clock
 	log    *slog.Logger
 
 	routeMu sync.Mutex
 	keys    map[string]int // idempotency key → shard (routing affinity)
 
-	driveMu    sync.Mutex // serialises rounds (driver) with the final drain
-	lastShares []int
+	lastShares []int // clock-owned
 	rebalances atomic.Int64
 
-	draining atomic.Bool
-	finalErr error // first shard failure, set before drained closes
-	wake     chan struct{}
-	drained  chan struct{}
-	stopped  chan struct{}
-	drainOne sync.Once
-	stopOne  sync.Once
+	draining  atomic.Bool
+	drainOnce sync.Once
+	finalErr  error // first shard failure, set before drained closes
+	wake      chan struct{}
+	drained   chan struct{}
 
-	metrics *clusterMetrics
-	started time.Time
-	ln      net.Listener
-	hsrv    *http.Server
+	metrics     *clusterMetrics
+	httpMetrics *server.HTTPMetrics
+	started     time.Time
+	ln          net.Listener
+	hsrv        *http.Server
 }
 
 // New builds the shards and the front door. Each shard is a complete abgd
-// server — journal, SSE hub, metrics, recovery — that is never Start()ed;
-// the cluster drives it through the server package's external-drive API.
+// server — journal, event sequence, metrics, recovery — that is never
+// Start()ed; the cluster's Clock steps it through the server package's
+// external-drive API.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: needs at least 1 shard, got %d", cfg.Shards)
@@ -139,15 +139,15 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:     cfg,
 		policy:  cfg.Policy,
 		router:  cfg.Router,
-		hub:     newMergedHub(cfg.Shards, cfg.EventRing),
+		hub:     server.NewEventHub(cfg.Shards, cfg.EventRing, 0),
 		log:     obs.Component("cluster"),
 		keys:    make(map[string]int),
 		wake:    make(chan struct{}, 1),
 		drained: make(chan struct{}),
-		stopped: make(chan struct{}),
 		started: time.Now(),
 	}
 	c.metrics = newClusterMetrics(cfg.Metrics, cfg.Shards)
+	c.httpMetrics = server.NewHTTPMetrics(c.metrics.reg)
 	c.metrics.shards.Set(int64(cfg.Shards))
 	for k := 0; k < cfg.Shards; k++ {
 		scfg := cfg.Shard
@@ -166,14 +166,31 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", k, err)
 		}
-		sh := &shard{srv: srv, bus: scfg.Bus}
+		sh := &shard{srv: srv}
 		// The tap attaches after New, so recovery's replayed events — already
 		// renumbered exactly by the shard's own hub — are not re-merged; the
 		// merged stream resumes from the shard's recovered position.
-		sh.tap = newShardTap(k, cfg.Shards, srv.SSESeq())
-		c.hub.setSeq(k, srv.SSESeq())
+		sh.tap = newShardTap(k, cfg.Shards)
+		c.hub.SetSeq(k, srv.SSESeq())
 		scfg.Bus.Subscribe(sh.tap)
 		c.shards = append(c.shards, sh)
+	}
+	servers := make([]*server.Server, len(c.shards))
+	for k, sh := range c.shards {
+		servers[k] = sh.srv
+	}
+	c.clock = &server.Clock{
+		Mode: cfg.Shard.Clock, Tick: cfg.Shard.Tick, Servers: servers,
+		Step: c.round, Drain: c.Drain, Wake: c.wake,
+		Stop: func() bool {
+			if c.anyFatal() {
+				// A wedged shard cannot make progress; drain the healthy
+				// ones and shut down instead of serving a partially dead
+				// cluster.
+				c.Drain()
+			}
+			return c.draining.Load()
+		},
 	}
 	// Routing affinity survives a restart: re-pin every recovered
 	// idempotency key to the shard that journaled it.
@@ -191,8 +208,8 @@ func New(cfg Config) (*Cluster, error) {
 
 func shardDirName(k int) string { return "shard-" + strconv.Itoa(k) }
 
-// Start binds the front door and launches the cluster's quantum-clock
-// driver. Cancelling ctx initiates a graceful drain.
+// Start binds the front door and launches the cluster's quantum clock.
+// Cancelling ctx initiates a graceful drain.
 func (c *Cluster) Start(ctx context.Context) error {
 	ln, err := net.Listen("tcp", c.cfg.Addr)
 	if err != nil {
@@ -222,51 +239,13 @@ func (c *Cluster) Addr() string {
 	return c.ln.Addr().String()
 }
 
-// drive is the cluster's quantum clock: the single goroutine that advances
-// every shard, mirroring a single daemon's driver — wall mode runs one round
-// per tick, virtual mode fast-forwards while any shard has work and parks
-// while the cluster is empty.
+// drive runs the cluster's quantum clock — one round per tick in wall mode,
+// fast-forwarding while any shard has work in virtual mode — then its drain.
 func (c *Cluster) drive(ctx context.Context) {
-	defer c.closeStopped()
-	var tick *time.Ticker
-	if c.cfg.Shard.Clock == server.ClockWall {
-		tick = time.NewTicker(c.cfg.Shard.Tick)
-		defer tick.Stop()
-	}
-	for {
-		if c.draining.Load() {
-			break
-		}
-		if c.anyFatal() != nil {
-			// A wedged shard cannot make progress; drain the healthy ones
-			// and shut down instead of serving a partially dead cluster.
-			c.Drain()
-			continue
-		}
-		switch c.cfg.Shard.Clock {
-		case server.ClockWall:
-			select {
-			case <-ctx.Done():
-				c.Drain()
-			case <-tick.C:
-				c.round(true)
-			case <-c.wake:
-			}
-		default: // virtual
-			if c.anyNeedsSteps() {
-				c.round(false)
-				continue
-			}
-			select {
-			case <-ctx.Done():
-				c.Drain()
-			case <-c.wake:
-			}
-		}
-	}
+	c.clock.Run(ctx)
 	c.drain()
-	c.hub.closeAll()
-	c.closeDrained()
+	c.hub.Close()
+	close(c.drained)
 	c.log.Info("cluster drain complete", "shards", c.cfg.Shards)
 }
 
@@ -276,8 +255,6 @@ func (c *Cluster) drive(ctx context.Context) {
 // merged stream serially in shard order (the barrier between stepping and
 // flushing is what makes the merge order deterministic at any worker count).
 func (c *Cluster) round(idleOK bool) {
-	c.driveMu.Lock()
-	defer c.driveMu.Unlock()
 	n := len(c.shards)
 	if n > 1 {
 		desires := make([]int, n)
@@ -291,80 +268,51 @@ func (c *Cluster) round(idleOK bool) {
 			sh.desire, sh.share = desires[k], shares[k]
 			sh.mu.Unlock()
 		}
-		if !equalInts(shares, c.lastShares) {
+		if !slices.Equal(shares, c.lastShares) {
 			c.rebalances.Add(1)
 			c.metrics.rebalances.Inc()
 			copy(c.lastShares, shares)
 		}
 	}
 	parallel.ForEachN(n, c.cfg.Workers, func(k int) {
-		c.shards[k].srv.StepExternal(idleOK)
+		c.shards[k].srv.Step(idleOK)
 	})
 	for _, sh := range c.shards {
 		sh.tap.flush(c.hub)
 	}
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// anyNeedsSteps reports whether any shard still has steppable work.
-func (c *Cluster) anyNeedsSteps() bool {
+// anyFatal reports whether some shard has failed.
+func (c *Cluster) anyFatal() bool {
 	for _, sh := range c.shards {
-		if sh.srv.NeedsSteps() {
+		if sh.srv.Fatal() != nil {
 			return true
 		}
 	}
 	return false
 }
 
-// anyFatal returns the first shard fatal error, if any.
-func (c *Cluster) anyFatal() error {
-	for k, sh := range c.shards {
-		if err := sh.srv.Fatal(); err != nil {
-			return fmt.Errorf("shard %d: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// Drain initiates a graceful cluster drain: admission closes on the front
-// door and on every shard (each journals the drain command, so restarted
-// shards finish draining instead of reopening admission). Idempotent.
+// Drain initiates a graceful cluster drain: admission closes on every
+// shard (each journals the drain command, so restarted shards finish
+// draining instead of reopening admission) and then on the front door —
+// in that order, so the clock cannot start the closing rounds before every
+// shard's drain record is down. Idempotent.
 func (c *Cluster) Drain() {
-	if c.draining.CompareAndSwap(false, true) {
+	c.drainOnce.Do(func() {
 		c.log.Info("cluster drain initiated")
 		for _, sh := range c.shards {
 			sh.srv.Drain()
 		}
-	}
+		c.draining.Store(true)
+	})
 	c.notify()
 }
 
-// drain runs rounds until no shard has steppable work, then finishes every
-// shard: final admissions, engine drain, journal sync and close, SSE hub
-// close. Runs on the driver goroutine after the main loop exits.
+// drain finishes every shard through the shared clock's Finish, then merges
+// the events any straggler quanta emitted.
 func (c *Cluster) drain() {
+	c.finalErr = c.clock.Finish()
 	for _, sh := range c.shards {
-		sh.srv.DrainEngine()
-	}
-	for c.anyNeedsSteps() {
-		c.round(false)
-	}
-	for k, sh := range c.shards {
-		if err := sh.srv.FinishExternal(); err != nil && c.finalErr == nil {
-			c.finalErr = fmt.Errorf("shard %d: %w", k, err)
-		}
-		// FinishExternal may execute straggler quanta; merge their events.
 		sh.tap.flush(c.hub)
 	}
 }
@@ -390,9 +338,6 @@ func (c *Cluster) notify() {
 	default:
 	}
 }
-
-func (c *Cluster) closeDrained() { c.drainOne.Do(func() { close(c.drained) }) }
-func (c *Cluster) closeStopped() { c.stopOne.Do(func() { close(c.stopped) }) }
 
 // clusterMetrics is the cluster-level registry content: topology, routing,
 // and allocation families, labelled per shard where that makes sense.

@@ -215,7 +215,7 @@ type Report struct {
 }
 
 // Analyze derives a Report from a traced single-job result. It needs the
-// per-quantum trace (run without DropTrace).
+// per-quantum trace (run with KeepTrace).
 func Analyze(res sim.SingleResult) (Report, error) {
 	if len(res.Quanta) == 0 {
 		return Report{}, fmt.Errorf("core: result carries no quantum trace")

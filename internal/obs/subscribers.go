@@ -1,7 +1,5 @@
 package obs
 
-import "sync"
-
 // MetricsSubscriber folds bus events into a Registry: totals for quanta,
 // jobs, requested/granted processors and wasted cycles, plus fixed-bucket
 // histograms of per-quantum parallelism and waste and of per-job response
@@ -62,48 +60,6 @@ func NewMetricsSubscriber(reg *Registry) *MetricsSubscriber {
 		waste:         reg.Histogram("sim_quantum_waste", ExponentialBuckets(1, 4, 12)),
 		response:      reg.Histogram("sim_job_response_steps", ExponentialBuckets(1000, 2, 16)),
 	}
-}
-
-// attachments tracks which (bus, registry) pairs already have a
-// MetricsSubscriber, so AttachMetrics is idempotent.
-var (
-	attachMu    sync.Mutex
-	attachments = make(map[[2]any]func())
-)
-
-// AttachMetrics subscribes a MetricsSubscriber feeding reg (Default when
-// nil) to bus, deduplicating per (bus, registry) pair: attaching the same
-// pair twice keeps a single subscription, so events are never
-// double-counted. Without the dedupe, two wiring sites sharing a bus and a
-// registry — e.g. cmd/abgd's -debug-addr path and the server's own metrics
-// wiring, or a daemon re-attaching after rebuilding its engine from a crash
-// recovery — would silently inflate every counter by 2×.
-//
-// The returned detach function removes the subscription and forgets the
-// pair (a later AttachMetrics re-attaches fresh). Detaching is idempotent
-// and shared: whichever caller detaches first wins.
-func AttachMetrics(bus *Bus, reg *Registry) (detach func()) {
-	if reg == nil {
-		reg = Default
-	}
-	key := [2]any{bus, reg}
-	attachMu.Lock()
-	defer attachMu.Unlock()
-	if d, ok := attachments[key]; ok {
-		return d
-	}
-	unsub := bus.Subscribe(NewMetricsSubscriber(reg))
-	var once sync.Once
-	d := func() {
-		once.Do(func() {
-			unsub()
-			attachMu.Lock()
-			delete(attachments, key)
-			attachMu.Unlock()
-		})
-	}
-	attachments[key] = d
-	return d
 }
 
 // OnEvent implements Subscriber.

@@ -52,40 +52,3 @@ func TestMetricsSubscriberDefaultRegistry(t *testing.T) {
 		t.Fatal("nil registry did not fall back to Default")
 	}
 }
-
-func TestAttachMetricsDedupes(t *testing.T) {
-	// Regression: two wiring sites attaching metrics for the same
-	// (bus, registry) pair — e.g. cmd/abgd's debug path and the server's
-	// own metrics wiring — must not double-count events.
-	bus := NewBus()
-	reg := NewRegistry()
-	d1 := AttachMetrics(bus, reg)
-	d2 := AttachMetrics(bus, reg) // dedup: no second subscription
-	bus.Emit(Event{Kind: EvQuantumEnd, Steps: 10, Work: 5})
-	if got := reg.Counter("sim_quanta_total").Value(); got != 1 {
-		t.Fatalf("quanta counted %d times, want 1 (double attachment)", got)
-	}
-	// A distinct registry on the same bus is a separate attachment.
-	reg2 := NewRegistry()
-	defer AttachMetrics(bus, reg2)()
-	bus.Emit(Event{Kind: EvQuantumEnd, Steps: 10, Work: 5})
-	if got := reg.Counter("sim_quanta_total").Value(); got != 2 {
-		t.Fatalf("first registry quanta = %d, want 2", got)
-	}
-	if got := reg2.Counter("sim_quanta_total").Value(); got != 1 {
-		t.Fatalf("second registry quanta = %d, want 1", got)
-	}
-	// Detach (shared between d1 and d2) stops the feed and allows a fresh
-	// attachment later.
-	d1()
-	d2() // idempotent
-	bus.Emit(Event{Kind: EvQuantumEnd})
-	if got := reg.Counter("sim_quanta_total").Value(); got != 2 {
-		t.Fatalf("detached subscriber still counting: %d", got)
-	}
-	defer AttachMetrics(bus, reg)()
-	bus.Emit(Event{Kind: EvQuantumEnd})
-	if got := reg.Counter("sim_quanta_total").Value(); got != 3 {
-		t.Fatalf("re-attachment after detach broken: %d", got)
-	}
-}

@@ -10,92 +10,131 @@ import (
 	"abg/internal/sim"
 )
 
-// drive is the quantum clock: the single goroutine that advances the engine.
-// All engine mutation happens here (and in the admission step it performs),
-// serialised with the HTTP handlers by s.mu.
+// Clock is the quantum clock: the single goroutine that advances a daemon's
+// engine, or a cluster's shards in lockstep rounds. All engine mutation
+// happens on it (and in the admission step it performs), serialised with
+// the HTTP handlers by each Server's mutex.
 //
-// Wall mode executes one quantum boundary per cfg.Tick of real time — idle
+// Wall mode executes one quantum boundary per Tick of real time — idle
 // boundaries advance simulated time just like busy ones, so sim time tracks
-// wall time. Virtual mode fast-forwards: it steps back-to-back while jobs
-// are in flight and parks (no time passes) while the system is empty, which
-// is what load tests and CI smokes want.
+// wall time. Virtual mode fast-forwards: it steps back-to-back while there
+// is work and parks (no time passes) while the system is empty, which is
+// what load tests and CI smokes want.
 //
-// Cancelling ctx — the SIGTERM path — switches to draining: admission stops,
-// every queued job is admitted, and the engine fast-forwards to completion
-// regardless of clock mode. The drained channel closes last, releasing
-// Server.Wait and any /api/v1/drain?wait=1 callers.
+// Cancelling the context passed to Run — the SIGTERM path — calls Drain;
+// once Stop reports true the loop ends, and Finish runs every accepted job
+// to completion regardless of clock mode.
+type Clock struct {
+	Mode ClockMode
+	Tick time.Duration
+	// Servers are the daemons Step advances: one, or a cluster's shards.
+	Servers []*Server
+	// Step executes one quantum boundary on every server. idleOK selects
+	// whether an empty server still consumes the boundary (wall clock: yes,
+	// time passes; virtual clock: no).
+	Step func(idleOK bool)
+	// Stop reports that the loop must end: draining, failed, or killed.
+	Stop func() bool
+	// Drain initiates a graceful drain when the run context is cancelled.
+	Drain func()
+	// Wake makes a parked loop re-check Stop and, in virtual mode, whether
+	// there is work. In wall mode admission still waits for the boundary.
+	Wake <-chan struct{}
+}
+
+// Run paces quantum boundaries until Stop reports true.
+func (c *Clock) Run(ctx context.Context) {
+	var tick <-chan time.Time // nil in virtual mode: never fires
+	if c.Mode == ClockWall {
+		t := time.NewTicker(c.Tick)
+		defer t.Stop()
+		tick = t.C
+	}
+	for !c.Stop() {
+		if c.Mode != ClockWall && c.busy() {
+			c.Step(false)
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			c.Drain()
+		case <-tick:
+			c.Step(true)
+		case <-c.Wake:
+		}
+	}
+}
+
+// busy reports whether any server still has steppable work.
+func (c *Clock) busy() bool {
+	for _, s := range c.Servers {
+		if s.NeedsSteps() {
+			return true
+		}
+	}
+	return false
+}
+
+// Finish completes a drain: close every engine's admission (so snapshots
+// written while finishing record the engine as draining), step until no
+// server has work left, then sync and close each server (FinishExternal).
+// Admission is already closed, so no queue can grow. It returns the first
+// server's failure, naming the failed shard.
+func (c *Clock) Finish() error {
+	for _, s := range c.Servers {
+		s.DrainEngine()
+	}
+	for c.busy() {
+		c.Step(false)
+	}
+	var first error
+	for k, s := range c.Servers {
+		if err := s.FinishExternal(); err != nil && first == nil {
+			first = fmt.Errorf("shard %d: %w", k, err)
+		}
+	}
+	return first
+}
+
+// drive runs the daemon's quantum clock, then its drain. The drained
+// channel closes last, releasing Server.Wait and any /api/v1/drain?wait=1
+// callers; nothing here touches the engine after that.
 func (s *Server) drive(ctx context.Context) {
 	defer s.closeStopped()
-	var tick *time.Ticker
-	if s.cfg.Clock == ClockWall {
-		tick = time.NewTicker(s.cfg.Tick)
-		defer tick.Stop()
+	clock := &Clock{
+		Mode: s.cfg.Clock, Tick: s.cfg.Tick, Servers: []*Server{s},
+		Step: s.Step, Drain: s.Drain, Wake: s.wake,
+		Stop: func() bool { return s.killed.Load() || s.draining.Load() },
 	}
-	for {
-		if s.killed.Load() {
-			// Crash simulation (tests only): stop dead, no drain, no final
-			// journal flush — exactly what SIGKILL leaves behind.
-			return
-		}
-		if s.draining.Load() {
-			break
-		}
-		switch s.cfg.Clock {
-		case ClockWall:
-			select {
-			case <-ctx.Done():
-				s.Drain()
-			case <-tick.C:
-				s.stepOnce(true)
-			case <-s.wake:
-				// Admission still waits for the boundary; the wake only
-				// re-checks the draining flag.
-			}
-		default: // virtual
-			if s.hasWork() {
-				s.stepOnce(false)
-				continue
-			}
-			select {
-			case <-ctx.Done():
-				s.Drain()
-			case <-s.wake:
-			}
-		}
+	clock.Run(ctx)
+	if s.killed.Load() {
+		// Crash simulation (tests only): stop dead, no drain, no final
+		// journal flush — exactly what SIGKILL leaves behind.
+		return
 	}
-	s.drain()
-	s.hub.closeAll()
-	s.closeDrained()
-	s.log.Info("drain complete", "jobs", s.snapshotJobs())
+	_ = clock.Finish() // Wait reports the verdict
 }
 
-// hasWork reports whether the engine has unfinished jobs or the admission
-// queue is non-empty.
-func (s *Server) hasWork() bool {
+// completedJobs returns the number of jobs the engine has completed.
+func (s *Server) completedJobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.eng.Done() || len(s.queue) > 0
+	return s.eng.NumJobs() - s.eng.Remaining()
 }
 
-// snapshotJobs returns the number of jobs the engine has completed.
-func (s *Server) snapshotJobs() int {
+// Step admits everything queued at the current boundary and advances the
+// engine one quantum — one tick of the quantum clock. idleOK selects whether
+// an empty system still consumes a boundary (wall clock: yes, time passes;
+// virtual clock: no). Concurrent Steps on different servers are safe (a
+// cluster steps its shards in parallel); one server must only ever be
+// stepped by one goroutine at a time.
+func (s *Server) Step(idleOK bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, st := range s.eng.Statuses() {
-		if st.State == sim.JobDone {
-			n++
-		}
-	}
-	return n
+	s.stepLocked(idleOK)
+	s.mu.Unlock()
 }
 
-// stepOnce admits everything queued at the current boundary and advances the
-// engine one quantum. idleOK selects whether an empty system still consumes
-// a boundary (wall clock: yes, time passes; virtual clock: no).
-func (s *Server) stepOnce(idleOK bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Server) stepLocked(idleOK bool) {
 	if s.fatal != nil {
 		return
 	}
@@ -243,38 +282,4 @@ func (s *Server) failLocked(err error) {
 	}
 	s.draining.Store(true)
 	s.notify()
-}
-
-// drain admits the remaining queue and fast-forwards the engine until every
-// accepted job has completed. Runs on the driver goroutine after the main
-// loop exits; admission is already closed, so the queue cannot grow.
-func (s *Server) drain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fatal != nil {
-		return
-	}
-	s.admitLocked() // flush the queue before the engine closes admission
-	if s.fatal != nil {
-		return
-	}
-	s.eng.Drain()
-	for !s.eng.Done() {
-		if s.journalStepLocked() != nil {
-			return
-		}
-		if _, err := s.eng.Step(); err != nil {
-			s.failLocked(err)
-			return
-		}
-		s.maybeSnapshotLocked()
-	}
-	if s.journal != nil {
-		if err := s.journal.Sync(); err != nil {
-			// A torn final flush must not masquerade as a clean shutdown:
-			// record it as the fatal error so /healthz reports failing and
-			// Wait — hence the process exit code — surfaces it.
-			s.failLocked(fmt.Errorf("journal sync at drain: %w", err))
-		}
-	}
 }

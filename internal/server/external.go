@@ -9,29 +9,20 @@ import (
 
 // External drive. The cluster layer (internal/cluster) embeds N Servers as
 // engine shards behind one front door. A shard is never Start()ed — it binds
-// no listener and runs no driver goroutine; instead the cluster's driver
-// calls the methods below, in lockstep rounds, from a single goroutine:
+// no listener and runs no driver goroutine; instead the cluster's Clock
+// steps every shard in lockstep rounds, from a single goroutine:
 //
 //	for each round:
 //	  desire[k] = shard[k].AggregateDesire()        (serial)
 //	  share[k]  = clusterAllocator(desire, totalP)
 //	  shard[k].SetShare(share[k])                   (serial)
-//	  shard[k].StepExternal(idleOK)                 (parallel across shards)
+//	  shard[k].Step(idleOK)                         (parallel across shards)
 //
-// Everything else a shard owns — journaling, snapshots, recovery, the SSE
-// hub with its exact event ids, idempotency dedup, per-shard metrics —
-// works unchanged, because StepExternal is the same stepOnce the internal
-// clock drives. Concurrent StepExternal calls on *different* shards are safe
-// (each shard's mutable state is guarded by its own mutex and its own bus);
-// a single shard must only ever be stepped by one goroutine at a time.
+// Everything else a shard owns — journaling, snapshots, recovery, its event
+// sequence numbers, idempotency dedup, per-shard metrics — works unchanged,
+// because Step is the very tick a daemon's own clock runs.
 
-// StepExternal admits everything queued at the current boundary and advances
-// the engine one quantum, exactly as one tick of the internal quantum clock
-// would. idleOK selects whether an empty shard still consumes a boundary
-// (wall clock: yes; virtual clock: no).
-func (s *Server) StepExternal(idleOK bool) { s.stepOnce(idleOK) }
-
-// NeedsSteps reports whether the shard still has work the driver must step:
+// NeedsSteps reports whether the server still has work the clock must step:
 // unfinished jobs or queued admissions, and no fatal error (a wedged shard
 // cannot make progress; stepping it forever would hang the cluster's drain).
 func (s *Server) NeedsSteps() bool {
@@ -51,7 +42,7 @@ func (s *Server) AggregateDesire() int {
 }
 
 // SetShare pins the cluster-assigned capacity share for the quantum the next
-// StepExternal will execute. No-op unless the shard was built with a
+// Step will execute. No-op unless the shard was built with a
 // ShareTable capacity override (Config.Capacity).
 func (s *Server) SetShare(share int) {
 	t, ok := s.capacity.(*ShareTable)
@@ -63,68 +54,75 @@ func (s *Server) SetShare(share int) {
 	s.mu.Unlock()
 }
 
-// DrainEngine flushes any straggler admissions and closes engine admission,
-// exactly as the internal drain path does before its final fast-forward.
-// The cluster calls it once per shard before the closing rounds so that
-// snapshots written during those rounds record the engine as draining —
-// keeping a one-shard cluster's journal byte-identical to a single daemon's.
+// DrainEngine flushes any straggler admissions and closes engine admission.
+// A clock's Finish calls it on every server before the closing steps so
+// that snapshots written during those steps record the engine as draining —
+// which keeps a one-shard cluster's journal byte-identical to a daemon's.
 func (s *Server) DrainEngine() {
 	s.mu.Lock()
-	if s.fatal == nil {
-		s.admitLocked()
-	}
-	if s.fatal == nil {
-		s.eng.Drain()
-	}
+	s.drainEngineLocked()
 	s.mu.Unlock()
 }
 
-// FinishExternal completes an externally-driven drain: flush any straggler
-// admissions, close engine admission, run any remaining quanta (normally
-// none — the driver steps until NeedsSteps is false first), sync and close
-// the journal, and release the shard's SSE clients and lifecycle channels.
-// Returns the shard's verdict the way Wait does: the first fatal error, or
-// the invariant checker's, or nil.
-func (s *Server) FinishExternal() error {
-	s.mu.Lock()
+func (s *Server) drainEngineLocked() {
 	if s.fatal == nil {
 		s.admitLocked()
 	}
 	if s.fatal == nil {
 		s.eng.Drain()
-		for !s.eng.Done() {
-			if s.journalStepLocked() != nil {
-				break
-			}
-			if _, err := s.eng.Step(); err != nil {
-				s.failLocked(err)
-				break
-			}
-			s.maybeSnapshotLocked()
-		}
+	}
+}
+
+// FinishExternal completes a drain: flush any straggler admissions, close
+// engine admission, run any remaining quanta (none when the clock stepped
+// until NeedsSteps was false first), sync and close the journal, and
+// release the SSE clients, the metrics subscription and the lifecycle
+// channels. Returns the verdict the way Wait does: the first fatal error, or
+// the invariant checker's, or nil.
+func (s *Server) FinishExternal() error {
+	s.mu.Lock()
+	s.drainEngineLocked()
+	for s.fatal == nil && !s.eng.Done() {
+		s.stepLocked(false)
 	}
 	if s.fatal == nil && s.journal != nil {
 		if err := s.journal.Sync(); err != nil {
-			// Same contract as the internal drain: a torn final flush is a
-			// failing shard, not a clean shutdown.
+			// A torn final flush must not masquerade as a clean shutdown:
+			// record it as the fatal error so /healthz reports failing and
+			// Wait — hence the process exit code — surfaces it.
 			s.failLocked(fmt.Errorf("journal sync at drain: %w", err))
 		}
 	}
-	err := s.fatal
+	s.mu.Unlock()
+	s.log.Info("drain complete", "jobs", s.completedJobs())
+	s.finish()
+	return s.verdict()
+}
+
+// finish releases what a finished server holds: the journal, the SSE
+// clients, the metrics subscription, and the lifecycle channels.
+func (s *Server) finish() {
+	s.mu.Lock()
 	if s.journal != nil {
 		_ = s.journal.Close()
 	}
 	s.mu.Unlock()
-	s.hub.closeAll()
+	s.hub.Close()
+	s.unsubMetrics()
 	s.closeDrained()
 	s.closeStopped()
-	if err != nil {
-		return err
+}
+
+// verdict is the server's final outcome: the first fatal error, else the
+// invariant checker's, else nil.
+func (s *Server) verdict() error {
+	s.mu.Lock()
+	err := s.fatal
+	s.mu.Unlock()
+	if err == nil && s.checker != nil {
+		err = s.checker.Err()
 	}
-	if s.checker != nil {
-		return s.checker.Err()
-	}
-	return nil
+	return err
 }
 
 // Kill simulates SIGKILL for crash-recovery tests: the driver (if one is
@@ -148,9 +146,6 @@ func (s *Server) Fatal() error {
 	return s.fatal
 }
 
-// Draining reports whether admission has been closed.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // QueueDepth returns the admission queue's current depth.
 func (s *Server) QueueDepth() int {
 	s.mu.Lock()
@@ -165,30 +160,21 @@ func (s *Server) Load() int {
 	return len(s.queue) + s.eng.Remaining()
 }
 
-// Snapshot returns the shard-wide state snapshot (the /api/v1/state body).
-func (s *Server) Snapshot() StateDTO { return s.snapshot() }
-
-// LookupJob resolves a shard-local job id to its status DTO.
-func (s *Server) LookupJob(id int) (JobStatusDTO, bool) { return s.lookupJob(id) }
-
-// JobHistory returns a job's lifecycle transitions.
-func (s *Server) JobHistory(id int) []HistoryEntry { return s.hist.get(id) }
-
 // JobStatuses returns every job's status — engine-held jobs in ascending id
 // order, then still-queued ones (the GET /api/v1/jobs body).
 func (s *Server) JobStatuses() []JobStatusDTO {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The engine owns the Statuses buffer and reuses it across calls, so
+	// the DTO conversion must happen before the lock is released — another
+	// caller's Statuses would overwrite it.
 	sts := s.eng.Statuses()
 	out := make([]JobStatusDTO, 0, len(sts)+len(s.queue))
 	for _, st := range sts {
 		out = append(out, statusDTO(st))
 	}
 	for _, p := range s.queue {
-		out = append(out, JobStatusDTO{
-			ID: p.id, Name: p.name, State: "queued",
-			Work: p.profile.Work(), CriticalPath: p.profile.CriticalPathLen(),
-		})
+		out = append(out, p.status())
 	}
 	return out
 }
@@ -201,7 +187,7 @@ func (s *Server) JobTimeline(id int) (TimelineDTO, bool) {
 	st, _ := s.eng.JobStatus(id)
 	s.mu.Unlock()
 	if !known {
-		dto, ok := s.lookupJob(id)
+		dto, ok := s.LookupJob(id)
 		if !ok {
 			return TimelineDTO{}, false
 		}
@@ -235,18 +221,8 @@ func (s *Server) IdemKeys() map[string][]int {
 	return out
 }
 
-// NextID returns the next job id this shard will assign.
-func (s *Server) NextID() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextID
-}
-
 // SSESeq returns the id of the shard's most recently published SSE event.
 func (s *Server) SSESeq() uint64 { return s.hub.Seq() }
-
-// Health returns the shard's health verdict and its HTTP status code.
-func (s *Server) Health() (HealthDTO, int) { return s.health() }
 
 // Recovery returns the boot-time recovery report.
 func (s *Server) Recovery() RecoveryDTO {
@@ -258,15 +234,7 @@ func (s *Server) Recovery() RecoveryDTO {
 	return dto
 }
 
-// MetricsRegistry returns the shard's metric registry, and SampleMetrics
-// refreshes its scrape-sampled gauges — the cluster's /metrics renders every
-// shard's registry under a shard label (promexport.WriteSets).
+// MetricsRegistry returns the shard's metric registry: the cluster's
+// /metrics renders every shard's registry under a shard label
+// (promexport.WriteSets), after SampleMetrics refreshes its gauges.
 func (s *Server) MetricsRegistry() *obs.Registry { return s.metrics.reg }
-
-// SampleMetrics refreshes the scrape-sampled gauges (see MetricsRegistry).
-func (s *Server) SampleMetrics() { s.sampleMetrics() }
-
-// MarshalEvent renders one instrumentation event exactly as the SSE stream
-// does — the cluster's merged stream reuses it so a one-shard cluster's
-// frames are byte-identical to a single daemon's.
-func MarshalEvent(e obs.Event) []byte { return marshalEvent(e) }

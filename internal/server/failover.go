@@ -164,11 +164,11 @@ func (s *Server) Promise(epoch uint32, candidate string, candidateBytes int64) f
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 	var req failover.FenceRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad request body: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.Epoch == 0 || req.Candidate == "" {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"epoch and candidate are required"})
+		WriteError(w, http.StatusBadRequest, "epoch and candidate are required")
 		return
 	}
 	resp := s.Promise(req.Epoch, failover.NormalizeURL(req.Candidate), req.JournalBytes)
@@ -176,7 +176,7 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 		s.log.Info("denied fencing claim",
 			"epoch", req.Epoch, "candidate", req.Candidate, "reason", resp.Reason)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- write gates and read-your-writes -------------------------------------
@@ -197,21 +197,21 @@ func (s *Server) rejectWrite(w http.ResponseWriter, r *http.Request) bool {
 			w.Header().Set(WinnerHeader, winner)
 			msg += "; current leader at " + winner
 		}
-		writeJSON(w, http.StatusConflict, errorDTO{msg})
+		WriteError(w, http.StatusConflict, msg)
 		return true
 	}
 	if c := r.Header.Get(EpochHeader); c != "" {
 		if ce, err := strconv.ParseUint(c, 10, 32); err == nil && uint32(ce) > s.epoch.Load() {
-			writeJSON(w, http.StatusConflict, errorDTO{fmt.Sprintf(
+			WriteError(w, http.StatusConflict, fmt.Sprintf(
 				"stale leader: client has observed epoch %d, this daemon serves epoch %d",
-				ce, s.epoch.Load())})
+				ce, s.epoch.Load()))
 			return true
 		}
 	}
 	if !s.confirmed.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorDTO{"leader unconfirmed: awaiting first group probe round"})
+		WriteError(w, http.StatusServiceUnavailable,
+			"leader unconfirmed: awaiting first group probe round")
 		return true
 	}
 	return false
@@ -231,7 +231,7 @@ func (s *Server) waitMinOffset(w http.ResponseWriter, r *http.Request) bool {
 	}
 	min, err := strconv.ParseInt(v, 10, 64)
 	if err != nil || min < 0 {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad " + MinOffsetHeader + ": " + v})
+		WriteError(w, http.StatusBadRequest, "bad "+MinOffsetHeader+": "+v)
 		return true
 	}
 	if min == 0 {
@@ -239,8 +239,8 @@ func (s *Server) waitMinOffset(w http.ResponseWriter, r *http.Request) bool {
 	}
 	if s.journal == nil {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorDTO{"journal disabled: cannot prove journal offset " + v + " applied"})
+		WriteError(w, http.StatusServiceUnavailable,
+			"journal disabled: cannot prove journal offset "+v+" applied")
 		return true
 	}
 	deadline := time.NewTimer(s.cfg.ReadWaitMax)
@@ -258,9 +258,9 @@ func (s *Server) waitMinOffset(w http.ResponseWriter, r *http.Request) bool {
 		case <-ch:
 		case <-deadline.C:
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorDTO{fmt.Sprintf(
+			WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf(
 				"replica behind: applied %d of required %d journal bytes within %s",
-				size, min, s.cfg.ReadWaitMax)})
+				size, min, s.cfg.ReadWaitMax))
 			return true
 		case <-r.Context().Done():
 			return true

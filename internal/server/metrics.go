@@ -13,7 +13,7 @@ import (
 
 // Server-layer metric families, exposed at GET /metrics in the Prometheus
 // text format (internal/obs/promexport) alongside the engine's sim_*
-// families fed by obs.AttachMetrics:
+// families fed by an obs.MetricsSubscriber:
 //
 //	abgd_http_requests_total{route,method,code}  counter
 //	abgd_http_request_seconds{route}             histogram (wall latency)
@@ -35,11 +35,8 @@ import (
 //	abgd_recovery_*                              gauges  (set once at boot)
 //
 // Counters and histograms are updated at event time on their own paths;
-// the sampled gauges are refreshed by sampleMetrics under the scrape so
+// the sampled gauges are refreshed by SampleMetrics under the scrape so
 // one exposition is self-consistent.
-
-// httpBuckets span sub-millisecond state reads to multi-second drains.
-var httpBuckets = obs.ExponentialBuckets(0.001, 4, 7)
 
 // journalBuckets span page-cache writes (~10µs) to slow fsyncs (~1s).
 var journalBuckets = obs.ExponentialBuckets(1e-5, 4, 9)
@@ -49,9 +46,9 @@ var journalBuckets = obs.ExponentialBuckets(1e-5, 4, 9)
 // sees the same numbers); handles are resolved once so hot paths never
 // rebuild label strings.
 type serverMetrics struct {
-	reg *obs.Registry
+	reg  *obs.Registry
+	http *HTTPMetrics
 
-	inflight   *obs.Gauge
 	queueDepth *obs.Gauge
 	rejected   *obs.Counter
 	sseSubs    *obs.Gauge
@@ -61,11 +58,6 @@ type serverMetrics struct {
 	snapAge    *obs.Gauge
 	snapshots  *obs.Counter
 	epochG     *obs.Gauge
-
-	// agg is the cross-route latency aggregate behind StateDTO's
-	// httpLatencyP* fields. It lives in a private registry: /metrics
-	// consumers aggregate the per-route histograms themselves.
-	agg *obs.Histogram
 
 	mu          sync.Mutex // guards the sampled deltas below
 	droppedSeen int64
@@ -78,7 +70,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 	return &serverMetrics{
 		reg:        reg,
-		inflight:   reg.Gauge("abgd_http_inflight_requests"),
+		http:       NewHTTPMetrics(reg),
 		queueDepth: reg.Gauge("abgd_admission_queue_depth"),
 		rejected:   reg.Counter("abgd_admission_rejected_total"),
 		sseSubs:    reg.Gauge("abgd_sse_subscribers"),
@@ -88,7 +80,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		snapAge:    reg.Gauge("abgd_snapshot_age_quanta"),
 		snapshots:  reg.Counter("abgd_snapshots_total"),
 		epochG:     reg.Gauge("abgd_leader_epoch"),
-		agg:        obs.NewRegistry().Histogram("http_all_seconds", httpBuckets),
 	}
 }
 
@@ -106,59 +97,14 @@ func (m *serverMetrics) recordRecovery(rec RecoveryDTO) {
 	set("abgd_recovery_requeued_jobs", rec.RequeuedJobs)
 }
 
-// statusRecorder captures the response status for the request counter while
-// passing Flush through, so the SSE handler keeps streaming when wrapped.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps one route's handler with the HTTP metric families. The
-// route label is the registration pattern's path — bounded cardinality, not
-// the raw URL.
+// instrument wraps one route's handler with the HTTP metric families; every
+// response also carries the serving epoch, which group-aware clients use to
+// detect (and refuse) answers from a deposed leader.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	m := s.metrics
-	hist := m.reg.Histogram(
-		promexport.Name("abgd_http_request_seconds", "route", route), httpBuckets)
-	return func(w http.ResponseWriter, r *http.Request) {
-		m.inflight.Add(1)
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
-		// Every response carries the serving epoch: group-aware clients use
-		// it to detect (and refuse) answers from a deposed leader.
+	return s.metrics.http.Instrument(route, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(EpochHeader, strconv.FormatUint(uint64(s.epoch.Load()), 10))
-		h(rec, r)
-		sec := time.Since(start).Seconds()
-		m.inflight.Add(-1)
-		code := rec.code
-		if code == 0 { // handler wrote nothing: net/http sends 200
-			code = http.StatusOK
-		}
-		m.reg.Counter(promexport.Name("abgd_http_requests_total",
-			"route", route, "method", r.Method, "code", strconv.Itoa(code))).Inc()
-		hist.Observe(sec)
-		m.agg.Observe(sec)
-	}
+		h(w, r)
+	})
 }
 
 // journalMetrics adapts the registry onto persist.Metrics. Per-kind
@@ -205,9 +151,9 @@ func (jm *journalMetrics) JournalSync(d time.Duration) {
 	jm.fsyncSec.Observe(d.Seconds())
 }
 
-// sampleMetrics refreshes the scrape-sampled gauges and folds the hub's
+// SampleMetrics refreshes the scrape-sampled gauges and folds the hub's
 // atomic tallies into their counters.
-func (s *Server) sampleMetrics() {
+func (s *Server) SampleMetrics() {
 	m := s.metrics
 	s.mu.Lock()
 	m.queueDepth.Set(int64(len(s.queue)))
@@ -218,13 +164,13 @@ func (s *Server) sampleMetrics() {
 		m.lag.Set(int64(j.Lag()))
 	}
 	m.epochG.Set(int64(s.epoch.Load()))
-	m.sseSubs.Set(s.hub.n.Load())
+	m.sseSubs.Set(s.hub.Clients())
 	m.mu.Lock()
-	if d := s.hub.dropped.Load(); d > m.droppedSeen {
+	if d := s.hub.Dropped(); d > m.droppedSeen {
 		m.sseDropped.Add(d - m.droppedSeen)
 		m.droppedSeen = d
 	}
-	if e := s.hub.evicted.Load(); e > m.evictedSeen {
+	if e := s.hub.Evicted(); e > m.evictedSeen {
 		m.sseEvicted.Add(e - m.evictedSeen)
 		m.evictedSeen = e
 	}
@@ -233,7 +179,7 @@ func (s *Server) sampleMetrics() {
 
 // handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.sampleMetrics()
+	s.SampleMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = promexport.Write(w, s.metrics.reg)
 }

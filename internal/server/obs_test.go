@@ -125,7 +125,7 @@ func TestMetricsExposition(t *testing.T) {
 
 	samples, types := scrape(t, base)
 
-	// Engine families, via obs.AttachMetrics on the same registry.
+	// Engine families, fed by the metrics subscriber into the same registry.
 	if samples["sim_jobs_completed_total"] != 3 {
 		t.Fatalf("sim_jobs_completed_total = %v, want 3", samples["sim_jobs_completed_total"])
 	}

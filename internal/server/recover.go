@@ -54,12 +54,7 @@ type RecoveryDTO struct {
 }
 
 func (s *Server) handleRecovery(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	dto := s.recovery
-	dto.Snapshots = s.snapshotCount
-	dto.LastSnapshotQuantum = s.lastSnapQ
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, dto)
+	WriteJSON(w, http.StatusOK, s.Recovery())
 }
 
 // openJournal opens (or creates) the journal, truncates any torn tail, and
@@ -300,7 +295,7 @@ func (s *Server) recoverRecords(records []persist.Record) error {
 			return err
 		}
 		s.eng = eng
-		s.hub.setSeq(lg.snap.sseSeq)
+		s.hub.SetSeq(0, lg.snap.sseSeq)
 		s.lastSnapQ = lg.snap.quanta
 		s.lastSnapSeq = lg.snap.sseSeq
 		s.recovery.SnapshotQuantum = lg.snap.quanta

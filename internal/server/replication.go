@@ -346,11 +346,9 @@ func (s *Server) follow(ctx context.Context) {
 	fatal := s.fatal
 	s.mu.Unlock()
 	if s.draining.Load() && fatal == nil {
-		s.log.Info("follower drained with leader", "jobs", s.snapshotJobs())
+		s.log.Info("follower drained with leader", "jobs", s.completedJobs())
 	}
-	s.hub.closeAll()
-	s.closeDrained()
-	s.closeStopped()
+	s.finish()
 }
 
 func (s *Server) boundaryNow() int {
@@ -444,14 +442,14 @@ func (s *Server) redirectToLeader(w http.ResponseWriter, r *http.Request) bool {
 // leader's, so followers can feed further followers (relay tier).
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	if s.journal == nil {
-		writeJSON(w, http.StatusNotFound, errorDTO{"journal disabled (-journal not set)"})
+		WriteError(w, http.StatusNotFound, "journal disabled (-journal not set)")
 		return
 	}
 	from := int64(0)
 	if v := r.URL.Query().Get("from"); v != "" {
 		p, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || p < 0 {
-			writeJSON(w, http.StatusBadRequest, errorDTO{"bad from offset: " + v})
+			WriteError(w, http.StatusBadRequest, "bad from offset: "+v)
 			return
 		}
 		from = p
@@ -462,18 +460,18 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		// histories (e.g. a shorter journal was promoted after a failover).
 		// 409 is a hard error on the follower side — reconnecting cannot
 		// heal a wrong history.
-		writeJSON(w, http.StatusConflict, errorDTO{fmt.Sprintf(
-			"offset %d beyond journal size %d: divergent history", from, size)})
+		WriteError(w, http.StatusConflict, fmt.Sprintf(
+			"offset %d beyond journal size %d: divergent history", from, size))
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorDTO{"streaming unsupported"})
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	f, err := os.Open(s.journal.Path())
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorDTO{"open journal: " + err.Error()})
+		WriteError(w, http.StatusInternalServerError, "open journal: "+err.Error())
 		return
 	}
 	defer f.Close()
@@ -588,12 +586,12 @@ func (s *Server) replication() ReplicationDTO {
 }
 
 func (s *Server) handleReplication(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.replication())
+	WriteJSON(w, http.StatusOK, s.replication())
 }
 
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if !s.isFollower() {
-		writeJSON(w, http.StatusConflict, errorDTO{"not a follower"})
+		WriteError(w, http.StatusConflict, "not a follower")
 		return
 	}
 	if s.super != nil {
@@ -606,17 +604,17 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			if errors.As(err, &lost) && lost.Winner != "" {
 				w.Header().Set(WinnerHeader, lost.Winner)
 			}
-			writeJSON(w, http.StatusConflict, errorDTO{err.Error()})
+			WriteError(w, http.StatusConflict, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, s.replication())
+		WriteJSON(w, http.StatusOK, s.replication())
 		return
 	}
 	if err := s.Promote("api"); err != nil {
-		writeJSON(w, http.StatusConflict, errorDTO{err.Error()})
+		WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.replication())
+	WriteJSON(w, http.StatusOK, s.replication())
 }
 
 // retargetRequest is the POST /api/v1/retarget body.
@@ -632,19 +630,19 @@ type retargetRequest struct {
 // of silent divergence.
 func (s *Server) handleRetarget(w http.ResponseWriter, r *http.Request) {
 	if !s.isFollower() {
-		writeJSON(w, http.StatusConflict, errorDTO{"not a follower"})
+		WriteError(w, http.StatusConflict, "not a follower")
 		return
 	}
 	var req retargetRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad request body: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.Leader == "" {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"leader is required"})
+		WriteError(w, http.StatusBadRequest, "leader is required")
 		return
 	}
 	s.tailer.SetLeader(req.Leader)
 	s.log.Info("retargeted", "leader", s.tailer.Leader())
-	writeJSON(w, http.StatusOK, s.replication())
+	WriteJSON(w, http.StatusOK, s.replication())
 }

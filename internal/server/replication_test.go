@@ -297,53 +297,6 @@ func TestFollowerPromotionMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWatchdogPromotion: with -promote-after armed, a follower promotes
-// itself once the leader stays unreachable past the grace, and the promoted
-// run still matches the reference replay.
-func TestWatchdogPromotion(t *testing.T) {
-	cfg := crashCfg(t.TempDir(), "")
-	s1, leaderBase := startCrashable(t, cfg)
-	fcfg := crashCfg("", "")
-	fcfg.PromoteAfter = 150 * time.Millisecond
-	s2, fBase, fDir := startFollower(t, fcfg, leaderBase)
-
-	for i := 0; i < 4; i++ {
-		submitKeyed(t, leaderBase, i)
-	}
-	waitQuanta(t, s1, 3, 4)
-	waitReplBytes(t, fBase, s1.journal.Size())
-	crash(t, s1)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var dto ReplicationDTO
-		getJSON(t, fBase+"/api/v1/replication", &dto)
-		if dto.Role == "leader" {
-			if dto.Promotions != 1 {
-				t.Fatalf("promotions = %d, want 1", dto.Promotions)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never promoted: %+v", dto)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	s2.Drain()
-	if err := s2.Wait(); err != nil {
-		t.Fatalf("promoted drain: %v", err)
-	}
-	live := liveStatuses(s2)
-	ref, err := ReferenceResult(fDir)
-	if err != nil {
-		t.Fatalf("ReferenceResult: %v", err)
-	}
-	if !reflect.DeepEqual(live, ref) {
-		t.Fatalf("watchdog-promoted run diverged:\n live %+v\n ref  %+v", live, ref)
-	}
-}
-
 // TestRelayChainServesEvictedReconnect: followers chained off followers
 // (leader → A → B) re-serve the event stream, and a slow consumer
 // reconnecting to the relay tier with an evicted Last-Event-ID gets the

@@ -24,13 +24,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math"
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -106,9 +106,9 @@ type Config struct {
 	Bus *obs.Bus
 	// Metrics receives the daemon's metric families — HTTP, admission, SSE,
 	// journal, snapshot, and recovery, plus the engine's sim_* families via
-	// obs.AttachMetrics — and is rendered at GET /metrics in the Prometheus
-	// text format. cmd/abgd passes obs.Default so /debug/vars shows the same
-	// numbers; a private registry is created when nil.
+	// an obs.MetricsSubscriber — and is rendered at GET /metrics in the
+	// Prometheus text format. cmd/abgd passes obs.Default so /debug/vars
+	// shows the same numbers; a private registry is created when nil.
 	Metrics *obs.Registry
 	// JournalLagMax is the /healthz ceiling on the journal's durability debt
 	// (records appended since the last fsync, persist.Journal.Lag). Above
@@ -144,11 +144,6 @@ type Config struct {
 	// Followers serve reads and the SSE stream; writes answer 307 to the
 	// leader.
 	FollowURL string
-	// PromoteAfter arms the follower's promotion watchdog: if the leader
-	// stays unreachable for this long, the follower promotes itself. Zero
-	// means manual promotion only (POST /api/v1/promote). Mutually exclusive
-	// with Group — quorum elections replace the lone watchdog.
-	PromoteAfter time.Duration
 	// Group enables automated failover (internal/failover): the advertised
 	// URLs of every replication-group member, this daemon included. Each
 	// member runs a supervisor that probes the group, fences stale leaders
@@ -244,9 +239,6 @@ func (c *Config) normalize() error {
 	if c.FollowURL != "" && c.JournalDir == "" {
 		return fmt.Errorf("server: follower mode requires a journal (-follow needs -journal)")
 	}
-	if c.PromoteAfter > 0 && c.FollowURL == "" {
-		return fmt.Errorf("server: -promote-after only applies to followers (-follow)")
-	}
 	if c.ReadWaitMax <= 0 {
 		c.ReadWaitMax = 2 * time.Second
 	}
@@ -258,15 +250,15 @@ func (c *Config) normalize() error {
 		if c.JournalDir == "" {
 			return fmt.Errorf("server: group mode requires a journal (-group needs -journal)")
 		}
-		if c.PromoteAfter > 0 {
-			return fmt.Errorf("server: -promote-after conflicts with -group (quorum elections replace the watchdog)")
-		}
 		if c.Advertise == "" {
 			return fmt.Errorf("server: group mode requires -advertise (peers must know this member's URL)")
 		}
 		if len(c.Group) < 2 {
 			return fmt.Errorf("server: a replication group needs at least 2 members, got %d", len(c.Group))
 		}
+		// Normalize a private copy: callers may share one member list
+		// across the configs of several group members.
+		c.Group = append([]string(nil), c.Group...)
 		self := false
 		for i, m := range c.Group {
 			c.Group[i] = failover.NormalizeURL(m)
@@ -295,6 +287,14 @@ type pendingJob struct {
 	profile *job.Profile
 }
 
+// status is a queued job's status DTO.
+func (p pendingJob) status() JobStatusDTO {
+	return JobStatusDTO{
+		ID: p.id, Name: p.name, State: "queued",
+		Work: p.profile.Work(), CriticalPath: p.profile.CriticalPathLen(),
+	}
+}
+
 // Server is a running abgd instance.
 type Server struct {
 	cfg   Config
@@ -305,12 +305,15 @@ type Server struct {
 	capacity alloc.Capacity
 
 	bus     *obs.Bus
-	hub     *sseHub
+	hub     *EventHub
 	hist    *history
 	traces  *traceStore
 	checker *fault.Checker
 	metrics *serverMetrics
-	log     *slog.Logger
+	// unsubMetrics detaches the engine-metrics subscriber when the server
+	// finishes, so a drained daemon stops feeding a shared registry.
+	unsubMetrics func()
+	log          *slog.Logger
 
 	mu            sync.Mutex
 	eng           *sim.Engine
@@ -398,7 +401,7 @@ func New(cfg Config) (*Server, error) {
 		plan:     plan,
 		capacity: capacity,
 		bus:      cfg.Bus,
-		hub:      newSSEHub(cfg.EventRing, cfg.EventRingBytes),
+		hub:      NewEventHub(1, cfg.EventRing, cfg.EventRingBytes),
 		hist:     newHistory(256),
 		traces:   newTraceStore(),
 		log:      obs.Component("server"),
@@ -413,10 +416,8 @@ func New(cfg Config) (*Server, error) {
 	s.bus.Subscribe(s.hub)
 	s.bus.Subscribe(s.hist)
 	s.bus.Subscribe(s.traces)
-	// Engine-level sim_* families land in the same registry; AttachMetrics
-	// dedupes, so an external site attaching the same (bus, registry) pair
-	// cannot double-count.
-	obs.AttachMetrics(s.bus, s.metrics.reg)
+	// Engine-level sim_* families land in the same registry.
+	s.unsubMetrics = s.bus.Subscribe(obs.NewMetricsSubscriber(s.metrics.reg))
 	if cfg.FaultSpec != "" {
 		s.checker = fault.NewChecker(cfg.P, false)
 		s.bus.Subscribe(s.checker)
@@ -434,8 +435,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.FollowURL != "" {
 		t := replica.NewTailer(cfg.FollowURL, shippedApplier{s})
-		t.PromoteAfter = cfg.PromoteAfter
-		t.OnPromote = func() { _ = s.Promote("watchdog") }
 		// A clean EOF after the drain record has applied and the engine has
 		// finished is the leader's end-of-drain: the journal is complete, so
 		// the follower drains out too instead of re-dialing a gone leader.
@@ -521,12 +520,14 @@ func (s *Server) Addr() string {
 // command is journaled, so a daemon restarted on this journal finishes the
 // drain instead of reopening admission.
 func (s *Server) Drain() {
+	s.mu.Lock()
+	// Flag and record change under one lock hold: the clock's closing steps
+	// take the lock too, so the drain record always precedes them.
 	if s.draining.CompareAndSwap(false, true) {
 		s.log.Info("drain initiated")
-		s.mu.Lock()
 		_ = s.appendJournal(persist.KindDrain, nil)
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
 	s.notify()
 }
 
@@ -539,19 +540,7 @@ func (s *Server) Wait() error {
 	if err := s.hsrv.Shutdown(shutdownCtx); err != nil {
 		s.hsrv.Close()
 	}
-	s.mu.Lock()
-	err := s.fatal
-	if s.journal != nil {
-		_ = s.journal.Close()
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if s.checker != nil {
-		return s.checker.Err()
-	}
-	return nil
+	return s.verdict()
 }
 
 // notify wakes the driver loop (non-blocking).
@@ -574,7 +563,9 @@ func (s *Server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/timeline", s.instrument("/api/v1/jobs/{id}/timeline", s.handleTimeline))
 	mux.HandleFunc("GET /api/v1/traces/{id}", s.instrument("/api/v1/traces/{id}", s.handleTrace))
 	mux.HandleFunc("GET /api/v1/state", s.instrument("/api/v1/state", s.handleState))
-	mux.HandleFunc("GET /api/v1/events", s.instrument("/api/v1/events", s.handleEvents))
+	mux.HandleFunc("GET /api/v1/events", s.instrument("/api/v1/events", func(w http.ResponseWriter, r *http.Request) {
+		s.hub.ServeEvents(w, r, s.sched.Name())
+	}))
 	mux.HandleFunc("POST /api/v1/drain", s.instrument("/api/v1/drain", s.handleDrain))
 	mux.HandleFunc("GET /api/v1/recovery", s.instrument("/api/v1/recovery", s.handleRecovery))
 	mux.HandleFunc("GET /api/v1/journal", s.instrument("/api/v1/journal", s.handleJournal))
@@ -586,18 +577,6 @@ func (s *Server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealth))
 	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
 	return mux
-}
-
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// errorDTO is the uniform error body.
-type errorDTO struct {
-	Error string `json:"error"`
 }
 
 // SubmitResponse acknowledges an accepted submission. State is "queued"
@@ -622,34 +601,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorDTO{"draining: admission closed"})
+		WriteError(w, http.StatusServiceUnavailable, errDraining.Error())
 		return
 	}
 	if s.redirectToLeader(w, r) {
 		return
 	}
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad request body: " + err.Error()})
-		return
-	}
-	if err := req.Normalize(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{err.Error()})
-		return
-	}
-	resp, status, err := s.SubmitLocal(req, r.Header.Get(TraceHeader))
-	if err != nil {
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
+	ServeSubmit(w, r, func(req JobRequest, traceID string) (SubmitResponse, int, error) {
+		resp, status, err := s.SubmitLocal(req, traceID)
+		if err == nil && resp.Offset > 0 {
+			w.Header().Set(OffsetHeader, strconv.FormatInt(resp.Offset, 10))
 		}
-		writeJSON(w, status, errorDTO{err.Error()})
-		return
-	}
-	if resp.Offset > 0 {
-		w.Header().Set(OffsetHeader, strconv.FormatInt(resp.Offset, 10))
-	}
-	writeJSON(w, status, resp)
+		return resp, status, err
+	})
 }
 
 // SubmitLocal runs the admission path for an already-normalized request:
@@ -660,8 +624,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // duplicate); a non-nil error carries a 4xx/5xx status instead.
 func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, int, error) {
 	if s.draining.Load() {
-		return SubmitResponse{}, http.StatusServiceUnavailable,
-			fmt.Errorf("draining: admission closed")
+		return SubmitResponse{}, http.StatusServiceUnavailable, errDraining
 	}
 	if req.Seed == 0 {
 		req.Seed = s.cfg.Seed
@@ -674,6 +637,12 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 	}
 
 	s.mu.Lock()
+	if s.draining.Load() {
+		// Re-checked under the lock: Drain journals its record under it, so
+		// no submission can land behind the drain and escape admission.
+		s.mu.Unlock()
+		return SubmitResponse{}, http.StatusServiceUnavailable, errDraining
+	}
 	if req.Key != "" {
 		if ids, ok := s.keys[req.Key]; ok {
 			// Seen before — possibly acked into a journal whose ack the
@@ -777,24 +746,21 @@ func statusDTO(st sim.JobStatus) JobStatusDTO {
 	}
 }
 
-// lookupJob resolves a job id to its status: engine-owned, still queued, or
-// unknown.
-func (s *Server) lookupJob(id int) (JobStatusDTO, bool) {
+// LookupJob resolves a job id to its status, lifecycle history included
+// (the GET /api/v1/jobs/{id} body): engine-owned, still queued, or unknown.
+func (s *Server) LookupJob(id int) (JobStatusDTO, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var dto JobStatusDTO
 	if st, ok := s.eng.JobStatus(id); ok {
-		return statusDTO(st), true
+		dto = statusDTO(st)
+	} else if i := slices.IndexFunc(s.queue, func(p pendingJob) bool { return p.id == id }); i >= 0 {
+		dto = s.queue[i].status()
+	} else {
+		return JobStatusDTO{}, false
 	}
-	for _, p := range s.queue {
-		if p.id == id {
-			return JobStatusDTO{
-				ID: id, Name: p.name, State: "queued",
-				Work:         p.profile.Work(),
-				CriticalPath: p.profile.CriticalPathLen(),
-			}, true
-		}
-	}
-	return JobStatusDTO{}, false
+	dto.History = s.hist.get(id)
+	return dto, true
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -803,39 +769,22 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad job id"})
+		WriteError(w, http.StatusBadRequest, "bad job id")
 		return
 	}
-	dto, ok := s.lookupJob(id)
+	dto, ok := s.LookupJob(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDTO{fmt.Sprintf("unknown job %d", id)})
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown job %d", id))
 		return
 	}
-	dto.History = s.hist.get(id)
-	writeJSON(w, http.StatusOK, dto)
+	WriteJSON(w, http.StatusOK, dto)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if s.waitMinOffset(w, r) {
 		return
 	}
-	s.mu.Lock()
-	// The engine owns the Statuses buffer and reuses it across calls, so
-	// the DTO conversion must happen before the lock is released — another
-	// handler's Statuses call would overwrite it.
-	sts := s.eng.Statuses()
-	out := make([]JobStatusDTO, 0, len(sts)+len(s.queue))
-	for _, st := range sts {
-		out = append(out, statusDTO(st))
-	}
-	for _, p := range s.queue {
-		out = append(out, JobStatusDTO{
-			ID: p.id, Name: p.name, State: "queued",
-			Work: p.profile.Work(), CriticalPath: p.profile.CriticalPathLen(),
-		})
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, s.JobStatuses())
 }
 
 // StateDTO is the scheduler-wide snapshot served at /api/v1/state.
@@ -874,7 +823,7 @@ type StateDTO struct {
 }
 
 // snapshot assembles the scheduler-wide state.
-func (s *Server) snapshot() StateDTO {
+func (s *Server) Snapshot() StateDTO {
 	s.mu.Lock()
 	sts := s.eng.Statuses()
 	res := s.eng.Result()
@@ -915,10 +864,10 @@ func (s *Server) snapshot() StateDTO {
 	if st.Completed > 0 {
 		st.MeanResponse = float64(respSum) / float64(st.Completed)
 	}
-	st.SSEClients = s.hub.n.Load()
-	st.SSEDropped = s.hub.dropped.Load()
+	st.SSEClients = s.hub.Clients()
+	st.SSEDropped = s.hub.Dropped()
 	st.LastEventID = s.hub.Seq()
-	if agg := s.metrics.agg; agg.Count() > 0 {
+	if agg := s.metrics.http.agg; agg.Count() > 0 {
 		st.HTTPRequests = agg.Count()
 		st.HTTPLatencyP50Ms = agg.Quantile(0.5) * 1e3
 		st.HTTPLatencyP95Ms = agg.Quantile(0.95) * 1e3
@@ -940,28 +889,18 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	if s.waitMinOffset(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.snapshot())
+	WriteJSON(w, http.StatusOK, s.Snapshot())
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if s.redirectToLeader(w, r) {
 		return
 	}
-	s.Drain()
-	wait := r.URL.Query().Get("wait")
-	done := false
-	if wait == "1" || wait == "true" {
-		select {
-		case <-s.drained:
-			done = true
-		case <-r.Context().Done():
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"draining": true, "done": done})
+	ServeDrain(w, r, s.Drain, s.drained)
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{
+	WriteJSON(w, http.StatusOK, map[string]string{
 		"version":   cli.Version,
 		"go":        runtime.Version(),
 		"scheduler": s.sched.Name(),
@@ -1001,7 +940,7 @@ type HealthDTO struct {
 }
 
 // health assembles the health verdict and its HTTP status.
-func (s *Server) health() (HealthDTO, int) {
+func (s *Server) Health() (HealthDTO, int) {
 	s.mu.Lock()
 	fatal := s.fatal
 	j := s.journal
@@ -1068,80 +1007,6 @@ func (s *Server) health() (HealthDTO, int) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	dto, code := s.health()
-	writeJSON(w, code, dto)
+	dto, code := s.Health()
+	WriteJSON(w, code, dto)
 }
-
-// handleEvents streams the instrumentation event feed as Server-Sent
-// Events: every obs event of the live run as one `id:` + `data:` JSON
-// frame. Event ids are monotonic and — because the counter rides in engine
-// snapshots and the event stream is replay-deterministic — stable across a
-// crash-restart. A client that reconnects with Last-Event-ID resumes from
-// the bounded replay ring without loss; one whose position has been evicted
-// receives an `event: resync` frame first and must refetch absolute state
-// (GET /api/v1/state). The stream ends when the client disconnects or the
-// server finishes draining.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorDTO{"streaming unsupported"})
-		return
-	}
-	var afterID uint64
-	lastID := r.Header.Get("Last-Event-ID")
-	if lastID == "" {
-		lastID = r.URL.Query().Get("lastEventID")
-	}
-	if lastID != "" {
-		v, err := strconv.ParseUint(lastID, 10, 64)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDTO{"bad Last-Event-ID: " + lastID})
-			return
-		}
-		afterID = v
-	}
-	replay, ch, resync, unsubscribe := s.hub.subscribe(1024, afterID)
-	defer unsubscribe()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, "retry: %d\n: abgd event stream (%s)\n\n",
-		sseRetryHintMillis, s.sched.Name())
-	flusher.Flush()
-	if ch == nil { // hub already closed (drained)
-		return
-	}
-	if resync {
-		// The id accompanying the marker is the position just before the
-		// replay (or the current head when nothing is replayable), so the
-		// client's next reconnect carries on from what it actually saw.
-		rid := s.hub.Seq()
-		if len(replay) > 0 {
-			rid = replay[0].id - 1
-		}
-		fmt.Fprintf(w, "id: %d\nevent: resync\ndata: {\"reason\":\"replay ring evicted, refetch /api/v1/state\"}\n\n", rid)
-	}
-	for _, m := range replay {
-		if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", m.id, m.data); err != nil {
-			return
-		}
-	}
-	flusher.Flush()
-	for {
-		select {
-		case m, open := <-ch:
-			if !open {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", m.id, m.data); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// sseRetryHintMillis is the reconnect delay hint sent at stream start.
-const sseRetryHintMillis = 1000

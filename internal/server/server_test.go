@@ -35,6 +35,10 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	return s, "http://" + s.Addr()
 }
 
+// snapshot is the spelling the recovery and replication tests use for
+// Snapshot.
+func (s *Server) snapshot() StateDTO { return s.Snapshot() }
+
 // postJobs submits a JobRequest and returns status code and decoded body.
 func postJobs(t *testing.T, base string, req JobRequest) (int, SubmitResponse, errorDTO) {
 	t.Helper()

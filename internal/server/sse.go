@@ -2,6 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -29,8 +34,9 @@ type eventDTO struct {
 	Completed   bool    `json:"completed,omitempty"`
 }
 
-// marshalEvent renders one instrumentation event as JSON.
-func marshalEvent(e obs.Event) []byte {
+// MarshalEvent renders one instrumentation event as the JSON an SSE frame
+// carries.
+func MarshalEvent(e obs.Event) []byte {
 	b, err := json.Marshal(eventDTO{
 		Kind: e.Kind.String(), Time: e.Time, Quantum: e.Quantum, Job: e.Job,
 		Name: e.Name, Request: e.Request, IntRequest: e.IntRequest,
@@ -44,64 +50,90 @@ func marshalEvent(e obs.Event) []byte {
 	return b
 }
 
-// sseMsg is one stream item: a marshalled event plus its monotonic id.
+// sseMsg is one stream item: a marshalled event, the hub component that
+// published it with that component's sequence number, and — on a hub of
+// several components — the rendered vector id as of the frame.
 type sseMsg struct {
-	id   uint64
+	comp int
+	seq  uint64
+	vec  string // "" on a one-component hub, whose id is seq itself
 	data []byte
 }
 
-// sseHub fans instrumentation events out to the connected SSE clients. It
-// subscribes to the run's obs bus, so OnEvent is called synchronously from
-// the simulation driver: sends are non-blocking, and a client that cannot
-// keep up loses events (counted in dropped) rather than stalling the
-// scheduler — backpressure never propagates into the quantum clock.
+// write renders the item as one SSE frame.
+func (m sseMsg) write(w io.Writer) error {
+	var err error
+	if m.vec == "" {
+		_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", m.seq, m.data)
+	} else {
+		_, err = fmt.Fprintf(w, "id: %s\ndata: %s\n\n", m.vec, m.data)
+	}
+	return err
+}
+
+// EventHub fans instrumentation events out to the connected SSE clients.
+// A daemon's hub has one component and subscribes to the run's obs bus, so
+// OnEvent is called synchronously from the simulation driver: sends are
+// non-blocking, and a client that cannot keep up loses events (counted in
+// Dropped) rather than stalling the scheduler — backpressure never
+// propagates into the quantum clock.
 //
-// Every event carries a monotonic sequence id, assigned whether or not a
-// client is connected, and the newest events are retained in a bounded
-// replay ring. A client that reconnects with Last-Event-ID resumes from the
-// ring without loss; one that fell behind the ring is told to resync.
-// Because the ids count the deterministic event stream itself (and the
-// counter is persisted in engine snapshots), a recovered daemon re-issues
-// the same events under the same ids — reconnecting subscribers cannot tell
-// a crash-restart from a slow network.
-type sseHub struct {
+// Every event carries a monotonic per-component sequence number, assigned
+// whether or not a client is connected, and the newest events are retained
+// in a bounded replay ring. A client that reconnects with Last-Event-ID
+// resumes from the ring without loss; one that fell behind the ring is told
+// to resync. Because the numbers count the deterministic event stream
+// itself (and the counter is persisted in engine snapshots), a recovered
+// daemon re-issues the same events under the same ids — reconnecting
+// subscribers cannot tell a crash-restart from a slow network.
+//
+// A cluster front door's hub has one component per shard and merges the
+// shards' streams without inventing a global counter a restart could not
+// reconstruct (shards recover independently, so only the per-shard orders
+// survive a crash). Its event ids are therefore vectors, "s0,s1,…,sN-1":
+// every component's sequence number as of the frame. A client resumes by
+// sending the vector back, and the hub replays, per component, everything
+// newer than the client's position — the one-component contract applied
+// component-wise. With one component the vector is a single number, so a
+// one-shard cluster's stream is byte-identical to a plain daemon's.
+type EventHub struct {
 	mu      sync.Mutex
 	clients map[chan sseMsg]struct{}
-	seq     uint64   // id of the most recently published event
-	ring    []sseMsg // newest ringCap events, oldest first
-	ringCap int
-	// byteCap bounds the summed payload bytes the ring may hold (0 = entry
-	// cap only). Event payloads vary by an order of magnitude across kinds,
-	// so an entry cap alone leaves the ring's memory footprint workload-
-	// dependent; whichever cap is hit first evicts the oldest events. At
-	// least one event is always retained so replay ids stay anchored.
-	byteCap   int
-	ringBytes int          // summed len(data) currently in the ring
-	n         atomic.Int64 // len(clients), readable without the lock
-	dropped   atomic.Int64
-	evicted   atomic.Int64 // events pushed out of the replay ring
-	closed    bool
+	seqs    []uint64 // latest published sequence number per component
+	ring    *ring[sseMsg]
+	n       atomic.Int64 // len(clients), readable without the lock
+	dropped atomic.Int64
+	evicted atomic.Int64 // events pushed out of the replay ring
+	closed  bool
 }
 
-func newSSEHub(ringCap, byteCap int) *sseHub {
-	return &sseHub{clients: make(map[chan sseMsg]struct{}), ringCap: ringCap, byteCap: byteCap}
-}
-
-// OnEvent implements obs.Subscriber.
-func (h *sseHub) OnEvent(e obs.Event) {
-	h.mu.Lock()
-	h.seq++
-	m := sseMsg{id: h.seq, data: marshalEvent(e)}
-	for len(h.ring) > 0 &&
-		(len(h.ring) >= h.ringCap ||
-			(h.byteCap > 0 && h.ringBytes+len(m.data) > h.byteCap)) {
-		h.ringBytes -= len(h.ring[0].data)
-		copy(h.ring, h.ring[1:])
-		h.ring = h.ring[:len(h.ring)-1]
-		h.evicted.Add(1)
+// NewEventHub returns a hub of the given number of components whose replay
+// ring keeps at most ringCap events and, when byteCap > 0, at most byteCap
+// summed payload bytes. Event payloads vary by an order of magnitude across
+// kinds, so an entry cap alone leaves the ring's memory footprint
+// workload-dependent; whichever cap is hit first evicts the oldest events.
+func NewEventHub(components, ringCap, byteCap int) *EventHub {
+	return &EventHub{
+		clients: make(map[chan sseMsg]struct{}),
+		seqs:    make([]uint64, components),
+		ring:    newRing(ringCap, byteCap, func(m sseMsg) int { return len(m.data) }),
 	}
-	h.ringBytes += len(m.data)
-	h.ring = append(h.ring, m)
+}
+
+// OnEvent implements obs.Subscriber for a one-component hub.
+func (h *EventHub) OnEvent(e obs.Event) { h.Publish(0, MarshalEvent(e)) }
+
+// Publish appends one marshalled event to component comp's stream.
+func (h *EventHub) Publish(comp int, data []byte) {
+	h.mu.Lock()
+	h.seqs[comp]++
+	m := sseMsg{comp: comp, seq: h.seqs[comp], data: data}
+	if len(h.seqs) > 1 {
+		m.vec = renderVector(h.seqs)
+	}
+	if n := h.ring.push(m); n > 0 {
+		h.evicted.Add(int64(n))
+	}
 	for ch := range h.clients {
 		select {
 		case ch <- m:
@@ -112,49 +144,93 @@ func (h *sseHub) OnEvent(e obs.Event) {
 	h.mu.Unlock()
 }
 
-// setSeq restores the sequence counter from a snapshot (recovery only,
-// before any event flows).
-func (h *sseHub) setSeq(seq uint64) {
+// SetSeq positions one component's sequence counter (boot only, before any
+// event flows): recovery restored the stream to seq.
+func (h *EventHub) SetSeq(comp int, seq uint64) {
 	h.mu.Lock()
-	h.seq = seq
+	h.seqs[comp] = seq
 	h.mu.Unlock()
 }
 
-// subscribe registers a client that has seen events up to afterID (zero for
-// a fresh client). It returns the events the ring still holds beyond
-// afterID, the live channel, and an unsubscribe func — registered and
-// replayed under one lock acquisition, so no event can fall between the
-// replay slice and the channel. resync reports that afterID has already
-// been evicted from the ring: the replay starts later than the client's
-// position and it must refetch absolute state. A nil channel is returned
-// after the hub closed.
-func (h *sseHub) subscribe(buffer int, afterID uint64) (replay []sseMsg, ch <-chan sseMsg, resync bool, unsub func()) {
+// Seq returns the number of events published across all components — for a
+// one-component hub, the id of the most recently published event.
+func (h *EventHub) Seq() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var sum uint64
+	for _, s := range h.seqs {
+		sum += s
+	}
+	return sum
+}
+
+// ID returns the current stream position as a wire id.
+func (h *EventHub) ID() string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return renderVector(h.seqs)
+}
+
+// Clients, Dropped and Evicted report the connected subscribers, the events
+// dropped on slow subscribers, and the events evicted from the replay ring.
+func (h *EventHub) Clients() int64 { return h.n.Load() }
+func (h *EventHub) Dropped() int64 { return h.dropped.Load() }
+func (h *EventHub) Evicted() int64 { return h.evicted.Load() }
+
+// subscribe registers a client that has seen events up to the per-component
+// positions in after (all zero for a fresh client). It returns the events
+// the ring still holds beyond after, the live channel, and an unsubscribe
+// func — registered and replayed under one lock acquisition, so no event
+// can fall between the replay slice and the channel. A non-empty resyncID
+// reports that some component's position has already been evicted from the
+// ring (or lies beyond what survived a crash): the client must refetch
+// absolute state, and resyncID is the position just before the replay. A
+// nil channel is returned after the hub closed.
+func (h *EventHub) subscribe(buffer int, after []uint64) (replay []sseMsg, ch <-chan sseMsg, resyncID string, unsub func()) {
 	c := make(chan sseMsg, buffer)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return nil, nil, false, func() {}
+		return nil, nil, "", func() {}
 	}
-	switch {
-	case afterID > h.seq:
-		// The client is ahead of us: it saw events from a journal tail that
-		// did not survive the crash. Only absolute state can reconcile that.
-		resync = true
-	case afterID < h.seq:
-		oldest := h.seq - uint64(len(h.ring)) + 1
-		if len(h.ring) == 0 || afterID+1 < oldest {
+	// Oldest retained sequence number per component; zero means the ring
+	// holds nothing of that component, so any gap on it forces a resync.
+	oldest := make([]uint64, len(h.seqs))
+	for i := h.ring.len() - 1; i >= 0; i-- {
+		m := h.ring.at(i)
+		oldest[m.comp] = m.seq
+	}
+	resync := false
+	for k, a := range after {
+		// A client ahead of us saw events from a journal tail that did not
+		// survive the crash; only absolute state can reconcile that.
+		if a > h.seqs[k] || (a < h.seqs[k] && (oldest[k] == 0 || a+1 < oldest[k])) {
 			resync = true
 		}
-		for _, m := range h.ring {
-			if m.id > afterID {
-				replay = append(replay, m)
+	}
+	for i := 0; i < h.ring.len(); i++ {
+		if m := h.ring.at(i); m.seq > after[m.comp] {
+			replay = append(replay, m)
+		}
+	}
+	if resync {
+		// Each component's position just before its first replayed event
+		// (or its head when nothing of it replays), so the client's next
+		// reconnect carries on from what it actually saw.
+		at := append([]uint64(nil), h.seqs...)
+		seen := make([]bool, len(at))
+		for _, m := range replay {
+			if !seen[m.comp] {
+				seen[m.comp] = true
+				at[m.comp] = m.seq - 1
 			}
 		}
+		resyncID = renderVector(at)
 	}
 	h.clients[c] = struct{}{}
 	h.n.Store(int64(len(h.clients)))
 	var once sync.Once
-	return replay, c, resync, func() {
+	return replay, c, resyncID, func() {
 		once.Do(func() {
 			h.mu.Lock()
 			if _, ok := h.clients[c]; ok {
@@ -167,16 +243,9 @@ func (h *sseHub) subscribe(buffer int, afterID uint64) (replay []sseMsg, ch <-ch
 	}
 }
 
-// Seq returns the id of the most recently published event.
-func (h *sseHub) Seq() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.seq
-}
-
-// closeAll disconnects every client (end of drain): their channels close,
+// Close disconnects every client (end of drain): their channels close,
 // which ends the streaming handlers so HTTP shutdown can complete.
-func (h *sseHub) closeAll() {
+func (h *EventHub) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.closed = true
@@ -187,13 +256,105 @@ func (h *sseHub) closeAll() {
 	h.n.Store(0)
 }
 
+// ServeEvents streams the hub as Server-Sent Events (GET /api/v1/events):
+// every event as one `id:` + `data:` JSON frame. A client that reconnects
+// with Last-Event-ID — a number, or a vector with one number per component
+// — resumes from the bounded replay ring without loss; one whose position
+// has been evicted receives an `event: resync` frame first and must
+// refetch absolute state (GET /api/v1/state). A malformed or wrong-length
+// id is a 400. The stream ends when the client disconnects or the hub
+// closes at the end of the drain. scheduler names the stream in its
+// opening comment.
+func (h *EventHub) ServeEvents(w http.ResponseWriter, r *http.Request, scheduler string) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
+		return
+	}
+	after := make([]uint64, len(h.seqs))
+	lastID := r.Header.Get("Last-Event-ID")
+	if lastID == "" {
+		lastID = r.URL.Query().Get("lastEventID")
+	}
+	if lastID != "" {
+		var ok bool
+		if after, ok = parseVector(lastID, len(h.seqs)); !ok {
+			WriteError(w, http.StatusBadRequest, "bad Last-Event-ID: "+lastID)
+			return
+		}
+	}
+	replay, ch, resyncID, unsubscribe := h.subscribe(1024, after)
+	defer unsubscribe()
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	fmt.Fprintf(w, "retry: %d\n: abgd event stream (%s)\n\n", sseRetryHintMillis, scheduler)
+	flusher.Flush()
+	if ch == nil { // hub already closed (drained)
+		return
+	}
+	if resyncID != "" {
+		fmt.Fprintf(w, "id: %s\nevent: resync\ndata: {\"reason\":\"replay ring evicted, refetch /api/v1/state\"}\n\n", resyncID)
+	}
+	for _, m := range replay {
+		if m.write(w) != nil {
+			return
+		}
+	}
+	flusher.Flush()
+	for {
+		select {
+		case m, open := <-ch:
+			if !open || m.write(w) != nil {
+				return
+			}
+			flusher.Flush()
+		case <-r.Context().Done():
+			return
+		}
+	}
+}
+
+// sseRetryHintMillis is the reconnect delay hint sent at stream start.
+const sseRetryHintMillis = 1000
+
+// renderVector renders per-component positions as the wire id: "s0,s1,…".
+func renderVector(seqs []uint64) string {
+	b := make([]byte, 0, 8*len(seqs))
+	for i, s := range seqs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, s, 10)
+	}
+	return string(b)
+}
+
+// parseVector parses a Last-Event-ID into n per-component positions.
+func parseVector(s string, n int) ([]uint64, bool) {
+	parts := strings.Split(s, ",")
+	if len(parts) != n {
+		return nil, false
+	}
+	out := make([]uint64, n)
+	for i, p := range parts {
+		v, err := strconv.ParseUint(p, 10, 64)
+		if err != nil {
+			return nil, false
+		}
+		out[i] = v
+	}
+	return out, true
+}
+
 // history records each job's lifecycle transitions — admitted,
 // deprived↔satisfied flips, restarts, completion — from the event stream,
-// bounded per job so a long-lived daemon cannot grow without bound.
+// keeping the newest max per job so a long-lived daemon cannot grow without
+// bound.
 type history struct {
 	mu    sync.Mutex
 	max   int
-	byJob map[int][]HistoryEntry
+	byJob map[int]*ring[HistoryEntry]
 }
 
 // HistoryEntry is one lifecycle transition of a job.
@@ -204,7 +365,7 @@ type HistoryEntry struct {
 }
 
 func newHistory(maxPerJob int) *history {
-	return &history{max: maxPerJob, byJob: make(map[int][]HistoryEntry)}
+	return &history{max: maxPerJob, byJob: make(map[int]*ring[HistoryEntry])}
 }
 
 // OnEvent implements obs.Subscriber.
@@ -219,14 +380,12 @@ func (h *history) OnEvent(e obs.Event) {
 		return
 	}
 	h.mu.Lock()
-	entries := h.byJob[e.Job]
-	if len(entries) >= h.max { // keep the newest transitions
-		copy(entries, entries[1:])
-		entries = entries[:len(entries)-1]
+	r := h.byJob[e.Job]
+	if r == nil {
+		r = newRing[HistoryEntry](h.max, 0, nil)
+		h.byJob[e.Job] = r
 	}
-	h.byJob[e.Job] = append(entries, HistoryEntry{
-		Quantum: e.Quantum, Time: e.Time, Event: e.Kind.String(),
-	})
+	r.push(HistoryEntry{Quantum: e.Quantum, Time: e.Time, Event: e.Kind.String()})
 	h.mu.Unlock()
 }
 
@@ -234,5 +393,8 @@ func (h *history) OnEvent(e obs.Event) {
 func (h *history) get(job int) []HistoryEntry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]HistoryEntry(nil), h.byJob[job]...)
+	if r := h.byJob[job]; r != nil {
+		return r.appendTo(nil)
+	}
+	return nil
 }

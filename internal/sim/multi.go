@@ -43,11 +43,6 @@ type MultiConfig struct {
 	// thousands of traces alive — and opt-in, the same name and polarity
 	// as SingleConfig and AdaptiveLConfig.
 	KeepTrace bool
-	// KeepTraces is the deprecated plural spelling of KeepTrace; setting
-	// either records the traces.
-	//
-	// Deprecated: use KeepTrace.
-	KeepTraces bool
 	// Obs receives the live instrumentation events of the run (see
 	// abg/internal/obs); nil disables emission.
 	Obs *obs.Bus
@@ -74,9 +69,6 @@ type MultiConfig struct {
 	// bounded per job. Zero disables recording.
 	TimelineRing int
 }
-
-// keepTrace resolves the retention flags, honouring the deprecated one.
-func (c MultiConfig) keepTrace() bool { return c.KeepTrace || c.KeepTraces }
 
 // JobOutcome is the per-job result of a multiprogrammed run.
 type JobOutcome struct {

@@ -123,7 +123,7 @@ func TestRunSingleAccountingIdentity(t *testing.T) {
 func TestRunSingleDropTrace(t *testing.T) {
 	p := workload.ConstantJob(4, 3, 20)
 	res, err := RunSingle(job.NewRun(p), feedback.NewAControl(0.2), sched.BGreedy(),
-		alloc.NewUnconstrained(16), SingleConfig{L: 20, DropTrace: true})
+		alloc.NewUnconstrained(16), SingleConfig{L: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,12 +338,12 @@ func TestABGBeatsAGreedyOnWaste(t *testing.T) {
 		phases := workload.GenPhases(rng.Split(), params)
 		p := workload.BuildForkJoin(phases)
 		ra, err := RunSingle(job.NewRun(p), feedback.NewAControl(0.2), sched.BGreedy(),
-			alloc.NewUnconstrained(128), SingleConfig{L: L, DropTrace: true})
+			alloc.NewUnconstrained(128), SingleConfig{L: L})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rg, err := RunSingle(job.NewRun(p), feedback.DefaultAGreedy(), sched.Greedy(),
-			alloc.NewUnconstrained(128), SingleConfig{L: L, DropTrace: true})
+			alloc.NewUnconstrained(128), SingleConfig{L: L})
 		if err != nil {
 			t.Fatal(err)
 		}

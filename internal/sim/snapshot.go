@@ -33,7 +33,7 @@ const snapVersion byte = 1
 // traces — or when a job's instance or policy does not support state
 // capture.
 func (e *Engine) MarshalBinary() ([]byte, error) {
-	if e.cfg.keepTrace() {
+	if e.cfg.KeepTrace {
 		return nil, fmt.Errorf("sim: snapshot does not support KeepTrace engines")
 	}
 	enc := persist.Enc{}
