@@ -74,11 +74,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"abg/internal/cli"
 	"abg/internal/cluster"
+	"abg/internal/failover"
 	"abg/internal/obs"
 	"abg/internal/server"
 )
@@ -141,7 +141,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	}
 	o.version = *version
 	d.Clock = server.ClockMode(clock)
-	d.Group = splitGroup(group)
+	d.Group = failover.SplitGroup(group)
 	if o.shards > 0 {
 		if d.FollowURL != "" {
 			return o, errors.New("-cluster and -follow are mutually exclusive: a cluster's shards replicate per shard, not as one journal")
@@ -221,17 +221,6 @@ func main() {
 		fatal(err)
 	}
 	cli.Interrupted(ctx, os.Stderr, "abgd")
-}
-
-// splitGroup parses the -group flag: comma-separated URLs, blanks dropped.
-func splitGroup(s string) []string {
-	var out []string
-	for _, m := range strings.Split(s, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -24,6 +24,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,124 +37,138 @@ import (
 
 	"abg/internal/cli"
 	"abg/internal/cluster"
+	"abg/internal/failover"
 	"abg/internal/obs"
 	"abg/internal/server"
 	"abg/internal/stats"
 	"abg/internal/table"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", "", "address of a running abgd (host:port); empty with -selftest boots daemons in-process")
-		selftest = flag.Bool("selftest", false, "boot ABG and A-Greedy daemons in-process (virtual clock) and compare")
-		jobs     = flag.Int("jobs", 1000, "total jobs to submit")
-		clients  = flag.Int("clients", 16, "concurrent closed-loop clients")
-		kind     = flag.String("kind", "batch", "job kind: fullPar | serial | batch | adversarial")
-		width    = flag.Int("width", 16, "width for fullPar/adversarial jobs")
-		quanta   = flag.Int("quanta", 4, "length in quanta for non-batch jobs")
-		cl       = flag.Int("cl", 20, "transition factor for batch jobs")
-		shrink   = flag.Int("shrink", 8, "phase-length shrink for batch jobs")
-		p        = flag.Int("P", 64, "machine size for in-process daemons")
-		l        = flag.Int("L", 200, "quantum length for in-process daemons")
-		seed     = flag.Uint64("seed", 2008, "base workload seed (job i draws from seed+i)")
-		timeout  = flag.Duration("timeout", 5*time.Minute, "overall deadline")
-		logSpec  = flag.String("log", "", `log levels for in-process daemons (default warn)`)
-		crash    = flag.Bool("crash", false, "crash-recovery soak: spawn abgd, SIGKILL it at random quanta, restart from journal, verify recovery equals an uninterrupted reference run")
-		failover = flag.Bool("failover", false, "failover chaos soak: spawn a 3-member self-healing group, repeatedly SIGKILL whoever leads, and verify the group elects replacements on its own and the final run equals its reference replay")
-		kills    = flag.Int("kills", 3, "leader SIGKILLs in -failover mode")
-		groupArg = flag.String("group", "", "comma-separated replication-group member URLs; the client discovers the leader among them and follows it across failovers")
-		abgdBin  = flag.String("abgd", "abgd", "abgd binary to spawn in -crash mode")
-		journal  = flag.String("journal", "", "journal directory for -crash mode (default: a fresh temp dir)")
-		crashes  = flag.Int("crashes", 3, "SIGKILL/restart cycles in -crash mode")
-		faultArg = flag.String("fault", "", "fault-injection spec passed to the spawned daemon (-crash mode)")
-		clusterN = flag.Int("cluster", 0, "boot an in-process N-shard cluster front end (virtual clock) and drive it")
-		jsonOut  = flag.Bool("json", false, "emit the run summary as JSON on stdout instead of tables (not with -crash)")
-		version  = cli.VersionFlag()
-	)
-	flag.Parse()
-	cli.ExitIfVersion("abgload", *version)
+// options is abgload's checked command line.
+type options struct {
+	soak                               crashConfig // binary, machine and workload; -crashes cycles
+	addr                               string
+	selftest, crash, failover, jsonOut bool
+	shards                             int // -cluster
+	kills                              int
+	timeout                            time.Duration
+	logSpec                            string
+	version                            bool
+}
 
-	if err := obs.SetupDefaultLogger(*logSpec); err != nil {
+// parseFlags parses abgload's command line and checks the flag
+// combinations; flag errors and usage go to stderr.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	fs := flag.NewFlagSet("abgload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		o     options
+		run   = &o.soak.run
+		group string
+	)
+	fs.StringVar(&o.addr, "addr", "", "address of a running abgd (host:port); empty with -selftest boots daemons in-process")
+	fs.BoolVar(&o.selftest, "selftest", false, "boot ABG and A-Greedy daemons in-process (virtual clock) and compare")
+	fs.IntVar(&run.jobs, "jobs", 1000, "total jobs to submit")
+	fs.IntVar(&run.clients, "clients", 16, "concurrent closed-loop clients")
+	fs.StringVar(&run.spec.Kind, "kind", "batch", "job kind: fullPar | serial | batch | adversarial")
+	fs.IntVar(&run.spec.Width, "width", 16, "width for fullPar/adversarial jobs")
+	fs.IntVar(&run.spec.Quanta, "quanta", 4, "length in quanta for non-batch jobs")
+	fs.IntVar(&run.spec.CL, "cl", 20, "transition factor for batch jobs")
+	fs.IntVar(&run.spec.Shrink, "shrink", 8, "phase-length shrink for batch jobs")
+	fs.IntVar(&o.soak.p, "P", 64, "machine size for in-process daemons")
+	fs.IntVar(&o.soak.l, "L", 200, "quantum length for in-process daemons")
+	fs.Uint64Var(&run.seed, "seed", 2008, "base workload seed (job i draws from seed+i)")
+	fs.DurationVar(&o.timeout, "timeout", 5*time.Minute, "overall deadline")
+	fs.StringVar(&o.logSpec, "log", "", `log levels for in-process daemons (default warn)`)
+	fs.BoolVar(&o.crash, "crash", false, "crash-recovery soak: spawn abgd, SIGKILL it at random quanta, restart from journal, verify recovery equals an uninterrupted reference run")
+	fs.BoolVar(&o.failover, "failover", false, "failover chaos soak: spawn a 3-member self-healing group, repeatedly SIGKILL whoever leads, and verify the group elects replacements on its own and the final run equals its reference replay")
+	fs.IntVar(&o.kills, "kills", 3, "leader SIGKILLs in -failover mode")
+	fs.StringVar(&group, "group", "", "comma-separated replication-group member URLs; the client discovers the leader among them and follows it across failovers")
+	fs.StringVar(&o.soak.abgd, "abgd", "abgd", "abgd binary to spawn in -crash mode")
+	fs.StringVar(&o.soak.journal, "journal", "", "journal directory for -crash mode (default: a fresh temp dir)")
+	fs.IntVar(&o.soak.crashes, "crashes", 3, "SIGKILL/restart cycles in -crash mode")
+	fs.StringVar(&o.soak.fault, "fault", "", "fault-injection spec passed to the spawned daemon (-crash mode)")
+	fs.IntVar(&o.shards, "cluster", 0, "boot an in-process N-shard cluster front end (virtual clock) and drive it")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the run summary as JSON on stdout instead of tables (not with -crash)")
+	version := cli.VersionFlagSet(fs)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	o.version = *version
+	run.group = failover.SplitGroup(group)
+	modes := 0
+	for _, on := range []bool{o.selftest, o.crash, o.failover, o.shards > 0} {
+		if on {
+			modes++
+		}
+	}
+	switch {
+	case fs.NArg() > 0:
+		return o, fmt.Errorf("unexpected arguments %q", fs.Args())
+	case o.version:
+	case modes > 1:
+		return o, errors.New("-selftest, -cluster, -crash and -failover are mutually exclusive")
+	case modes == 0 && o.addr == "":
+		return o, errors.New("need -addr of a running abgd, -selftest, -cluster, -crash, or -failover")
+	case run.jobs < 1 || run.clients < 1:
+		return o, errors.New("need -jobs >= 1 and -clients >= 1")
+	case o.jsonOut && o.crash:
+		return o, errors.New("-json is not supported in -crash mode")
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
 		fatal(err)
 	}
-	if !*selftest && !*crash && !*failover && *clusterN == 0 && *addr == "" {
-		fatal(fmt.Errorf("need -addr of a running abgd, -selftest, -cluster, -crash, or -failover"))
-	}
-	if *jobs < 1 || *clients < 1 {
-		fatal(fmt.Errorf("need -jobs >= 1 and -clients >= 1"))
+	cli.ExitIfVersion("abgload", o.version)
+	if err := obs.SetupDefaultLogger(o.logSpec); err != nil {
+		fatal(err)
 	}
 
 	ctx, stop := cli.SignalContext()
 	defer stop()
-	ctx, cancel := context.WithTimeout(ctx, *timeout)
+	ctx, cancel := context.WithTimeout(ctx, o.timeout)
 	defer cancel()
 
-	spec := server.JobRequest{
-		Kind: *kind, Width: *width, Quanta: *quanta, CL: *cl, Shrink: *shrink,
-	}
-	run := runConfig{jobs: *jobs, clients: *clients, spec: spec, seed: *seed}
-	if *groupArg != "" {
-		run.group = strings.Split(*groupArg, ",")
-	}
-
+	run, p, l := o.soak.run, o.soak.p, o.soak.l
 	failed := false
 	var reports []*report
-	if *crash {
-		if *jsonOut {
-			fatal(fmt.Errorf("-json is not supported in -crash mode"))
-		}
-		cfg := crashConfig{
-			abgd: *abgdBin, journal: *journal, crashes: *crashes,
-			fault: *faultArg, p: *p, l: *l, run: run,
-		}
-		if err := runCrashSoak(ctx, os.Stdout, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "abgload: crash soak: %v\n", err)
-			failed = true
-		}
-	} else if *failover {
-		cfg := crashConfig{
-			abgd: *abgdBin, fault: *faultArg, p: *p, l: *l, run: run,
-			crashes: *kills,
-		}
-		rep, err := runFailoverSoak(ctx, os.Stderr, cfg)
+	collect := func(what string, rep *report, err error) {
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "abgload: failover soak: %v\n", err)
+			fmt.Fprintf(os.Stderr, "abgload: %s%v\n", what, err)
 			failed = true
-		} else {
-			reports = append(reports, rep)
-		}
-	} else if *selftest {
-		for _, schedName := range []string{"abg", "agreedy"} {
-			rep, err := runAgainstInProcess(ctx, schedName, *p, *l, run)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "abgload: %s: %v\n", schedName, err)
-				failed = true
-				continue
-			}
-			reports = append(reports, rep)
-		}
-	} else if *clusterN > 0 {
-		rep, err := runAgainstCluster(ctx, *clusterN, *p, *l, run)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abgload: cluster: %v\n", err)
-			failed = true
-		} else {
-			reports = append(reports, rep)
-		}
-	} else {
-		rep, err := drive(ctx, *addr, "abgd@"+*addr, run, false)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abgload: %v\n", err)
-			failed = true
-		} else {
+		} else if rep != nil {
 			reports = append(reports, rep)
 		}
 	}
-	if *jsonOut {
-		if err := writeJSONSummary(os.Stdout, reports); err != nil {
-			fmt.Fprintf(os.Stderr, "abgload: %v\n", err)
-			failed = true
+	switch {
+	case o.crash:
+		collect("crash soak: ", nil, runCrashSoak(ctx, os.Stdout, o.soak))
+	case o.failover:
+		cfg := o.soak
+		cfg.crashes = o.kills
+		rep, err := runFailoverSoak(ctx, os.Stderr, cfg)
+		collect("failover soak: ", rep, err)
+	case o.selftest:
+		for _, schedName := range []string{"abg", "agreedy"} {
+			rep, err := runAgainstInProcess(ctx, schedName, p, l, run)
+			collect(schedName+": ", rep, err)
 		}
+	case o.shards > 0:
+		rep, err := runAgainstCluster(ctx, o.shards, p, l, run)
+		collect("cluster: ", rep, err)
+	default:
+		rep, err := drive(ctx, o.addr, "abgd@"+o.addr, run, false)
+		collect("", rep, err)
+	}
+	if o.jsonOut {
+		collect("", nil, writeJSONSummary(os.Stdout, reports))
 	} else {
 		for _, rep := range reports {
 			rep.render(os.Stdout)

@@ -76,6 +76,18 @@ func NormalizeURL(u string) string {
 	return strings.TrimRight(u, "/")
 }
 
+// SplitGroup parses a comma-separated member list (the -group flag of abgd
+// and abgload), dropping blank entries.
+func SplitGroup(s string) []string {
+	var out []string
+	for _, m := range strings.Split(s, ",") {
+		if m = strings.TrimSpace(m); m != "" {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // NodeStatus is the supervisor's view of its own daemon.
 type NodeStatus struct {
 	Role         string // "leader" or "follower"
@@ -431,6 +443,17 @@ func (s *Supervisor) ManualPromote(ctx context.Context) error {
 	}
 	views := s.probeAll(ctx, st)
 	s.noteEpochs(st, views)
+	// A strictly better follower with a claim in flight wins: a claim of
+	// ours never can (that follower denies it by the longest-prefix rule),
+	// and claiming past its epoch would only supersede its promises on the
+	// members it has not reached yet, so that neither claim wins.
+	for _, v := range views {
+		if v.Err == nil && !v.Fenced && v.Role == "follower" && v.PromisedEpoch > st.Epoch &&
+			(v.JournalBytes > st.JournalBytes || (v.JournalBytes == st.JournalBytes && v.Addr < s.Self)) {
+			return &ElectionLost{Epoch: v.PromisedEpoch, Winner: v.Addr,
+				Reason: "a follower with a longer journal is claiming"}
+		}
+	}
 	return s.claim(ctx, s.maxSeen+1, "manual promote")
 }
 

@@ -377,6 +377,27 @@ func TestManualPromoteLostNamesWinner(t *testing.T) {
 	}
 }
 
+// TestManualPromoteStandsBackForLongerClaim: a manual promote that sees a
+// longer follower's claim in flight loses at once, naming that follower,
+// instead of claiming a higher epoch that would only supersede it.
+func TestManualPromoteStandsBackForLongerClaim(t *testing.T) {
+	longer := newPeer(t, probeDTO{Role: "follower", JournalBytes: 900, Epoch: 1, PromisedEpoch: 2}, true, "")
+	dead := deadURL(t)
+
+	self := "http://127.0.0.1:60001"
+	node := &fakeNode{st: NodeStatus{Role: "follower", Epoch: 1, JournalBytes: 100}}
+	sup := newSup(node, self, []string{self, longer.srv.URL, dead})
+
+	err := sup.ManualPromote(context.Background())
+	var lost *ElectionLost
+	if !errors.As(err, &lost) || lost.Winner != longer.srv.URL {
+		t.Fatalf("ManualPromote = %v, want ElectionLost naming %s", err, longer.srv.URL)
+	}
+	if _, claimed := longer.lastClaim(); claimed || len(node.promotes) != 0 {
+		t.Fatalf("claimed or promoted past a longer follower's claim (promotes %v)", node.promotes)
+	}
+}
+
 // TestClaimFoldsDenialEpochs: even a failed claim advances the epoch floor,
 // so the next claim does not reuse a term the group has moved past.
 func TestClaimFoldsDenialEpochs(t *testing.T) {

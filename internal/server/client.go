@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"abg/internal/failover"
 	"abg/internal/replica"
 )
 
@@ -78,11 +79,8 @@ type Client struct {
 // NewClient returns a Client with production defaults against base
 // (scheme optional; "host:port" is promoted to http).
 func NewClient(base string) *Client {
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
 	return &Client{
-		Base:        strings.TrimRight(base, "/"),
+		Base:        failover.NormalizeURL(base),
 		HTTP:        &http.Client{},
 		MaxAttempts: 10,
 		BaseDelay:   10 * time.Millisecond,
@@ -143,17 +141,13 @@ func (c *Client) backoff(attempt int, floor time.Duration) time.Duration {
 }
 
 // members returns the read-rotation set: Base first, then Group (each
-// normalized like Base, duplicates of Base dropped).
+// normalized like Base; blanks and duplicates of Base dropped).
 func (c *Client) members() []string {
 	eps := make([]string, 0, 1+len(c.Group))
 	eps = append(eps, c.Base)
-	for _, f := range c.Group {
-		if !strings.Contains(f, "://") {
-			f = "http://" + f
-		}
-		f = strings.TrimRight(f, "/")
-		if f != c.Base {
-			eps = append(eps, f)
+	for _, m := range c.Group {
+		if m = failover.NormalizeURL(m); m != "" && m != c.Base {
+			eps = append(eps, m)
 		}
 	}
 	return eps

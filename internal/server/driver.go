@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"abg/internal/job"
 	"abg/internal/persist"
-	"abg/internal/sim"
 )
 
 // Clock is the quantum clock: the single goroutine that advances a daemon's
@@ -134,40 +132,20 @@ func (s *Server) Step(idleOK bool) {
 	s.mu.Unlock()
 }
 
+// stepLocked is the leader's half of the applier for one boundary: admit
+// the queue, then journal and apply the step. Idle boundaries — every job
+// done, nothing queued — are not journaled: they do no work, emit no
+// events, and journaling each wall tick of an idle daemon would grow the
+// journal without bound. Working boundaries hit the journal before the
+// engine runs them, so a follower (or a reference replay) re-executes
+// exactly the quanta the leader executed.
 func (s *Server) stepLocked(idleOK bool) {
 	if s.fatal != nil {
 		return
 	}
 	s.admitLocked()
-	if s.fatal != nil {
+	if s.fatal != nil || (!idleOK && s.eng.Done()) {
 		return
-	}
-	if !idleOK && s.eng.Done() {
-		return
-	}
-	if s.journalStepLocked() != nil {
-		return
-	}
-	if _, err := s.eng.Step(); err != nil {
-		s.failLocked(err)
-		return
-	}
-	if t, ok := s.capacity.(*ShareTable); ok {
-		// Executed quanta can never be re-read; keep the table bounded.
-		t.PruneBelow(s.eng.Boundary())
-	}
-	s.maybeSnapshotLocked()
-}
-
-// journalStepLocked writes the step record for the quantum about to execute.
-// Idle boundaries — every job done, nothing queued — are skipped: they do no
-// work, emit no events, and journaling each wall tick of an idle daemon
-// would grow the journal without bound. Working boundaries must hit the
-// journal before the engine runs them so a follower (or a reference replay)
-// can re-execute exactly the quanta the leader executed. Caller holds s.mu.
-func (s *Server) journalStepLocked() error {
-	if s.journal == nil || s.eng.Done() {
-		return nil
 	}
 	rec := stepRecord{boundary: s.eng.Boundary(), share: -1}
 	// In cluster mode the quantum about to execute runs under the share the
@@ -178,43 +156,35 @@ func (s *Server) journalStepLocked() error {
 			rec.share = share
 		}
 	}
-	return s.appendJournal(persist.KindStep, encodeStep(rec))
+	if s.journal != nil && !s.eng.Done() && s.appendJournal(persist.KindStep, encodeStep(rec)) != nil {
+		return // fatal; failLocked already fired
+	}
+	if err := s.applyStep(rec); err != nil {
+		s.failLocked(err)
+		return
+	}
+	s.maybeSnapshotLocked()
 }
 
 // admitLocked hands every queued job to the engine at the current boundary.
-// Queue order is submission order, and the engine assigns ids sequentially,
-// so the engine's id for each job must equal the id the submission handler
-// promised the client; any divergence is a server bug worth dying loudly
-// over.
-//
 // The admit record is journaled before the engine sees the jobs: events for
-// this boundary only flow once Step runs, so a crash anywhere in between
-// recovers to "admitted at this boundary" without ever having exposed
-// observable state that the replay would contradict.
+// this boundary only flow once the step runs, so a crash anywhere in
+// between recovers to "admitted at this boundary" without ever having
+// exposed observable state that the replay would contradict.
 func (s *Server) admitLocked() {
 	if len(s.queue) == 0 {
 		return
 	}
-	rec := admitRecord{boundary: s.eng.Boundary()}
-	for _, p := range s.queue {
-		rec.ids = append(rec.ids, p.id)
+	rec := admitRecord{boundary: s.eng.Boundary(), ids: make([]int, len(s.queue))}
+	for i, p := range s.queue {
+		rec.ids[i] = p.id
 	}
-	if s.appendJournal(persist.KindAdmit, encodeAdmit(rec)) != nil {
+	if s.journal != nil && s.appendJournal(persist.KindAdmit, encodeAdmit(rec)) != nil {
 		return // fatal; failLocked already fired
 	}
-	for _, p := range s.queue {
-		spec := s.jobSpec(p)
-		id, err := s.eng.Submit(spec)
-		if err != nil {
-			s.failLocked(fmt.Errorf("admit job %d: %w", p.id, err))
-			return
-		}
-		if id != p.id {
-			s.failLocked(fmt.Errorf("job id skew: engine assigned %d, promised %d", id, p.id))
-			return
-		}
+	if err := s.applyAdmit(rec); err != nil {
+		s.failLocked(err)
 	}
-	s.queue = s.queue[:0]
 }
 
 // maybeSnapshotLocked writes an engine snapshot once enough quanta have
@@ -243,34 +213,12 @@ func (s *Server) maybeSnapshotLocked() {
 		boundary: s.eng.Boundary(), quanta: q,
 		sseSeq: s.hub.Seq(), engine: blob,
 	}
-	if s.appendJournal(persist.KindSnapshot, encodeSnapshot(rec)) == nil {
-		s.lastSnapQ = q
-		s.lastSnapSeq = rec.sseSeq
-		s.snapshotCount++
-		s.metrics.snapshots.Inc()
+	if s.appendJournal(persist.KindSnapshot, encodeSnapshot(rec)) != nil {
+		return
 	}
-}
-
-// jobSpec builds the engine-facing spec for one queued job: a fresh instance
-// and policy, the control channel wrapped by the fault plan, and the plan's
-// restart schedule (rebuilding restarted attempts from the same profile).
-func (s *Server) jobSpec(p pendingJob) sim.JobSpec {
-	spec := sim.JobSpec{
-		Name:    p.name,
-		Inst:    job.NewRun(p.profile),
-		Policy:  s.plan.Policy(s.sched.NewPolicy(), p.id, s.bus),
-		Sched:   s.sched.TaskScheduler(),
-		Release: s.eng.Now(),
+	if err := s.applySnapshot(rec); err != nil {
+		s.failLocked(err)
 	}
-	if at := s.plan.RestartHook(p.id); at != nil {
-		profile := p.profile
-		spec.Restart = &sim.RestartPlan{
-			At:  at,
-			New: func() job.Instance { return job.NewRun(profile) },
-			Max: s.plan.MaxRestarts,
-		}
-	}
-	return spec
 }
 
 // failLocked records the first fatal engine error and forces a drain so the

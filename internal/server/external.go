@@ -60,31 +60,22 @@ func (s *Server) SetShare(share int) {
 // which keeps a one-shard cluster's journal byte-identical to a daemon's.
 func (s *Server) DrainEngine() {
 	s.mu.Lock()
-	s.drainEngineLocked()
-	s.mu.Unlock()
-}
-
-func (s *Server) drainEngineLocked() {
 	if s.fatal == nil {
 		s.admitLocked()
 	}
 	if s.fatal == nil {
 		s.eng.Drain()
 	}
+	s.mu.Unlock()
 }
 
-// FinishExternal completes a drain: flush any straggler admissions, close
-// engine admission, run any remaining quanta (none when the clock stepped
-// until NeedsSteps was false first), sync and close the journal, and
-// release the SSE clients, the metrics subscription and the lifecycle
-// channels. Returns the verdict the way Wait does: the first fatal error, or
-// the invariant checker's, or nil.
+// FinishExternal completes a drain once the clock has stepped the server
+// until NeedsSteps is false: sync and close the journal, and release the
+// SSE clients, the metrics subscription and the lifecycle channels. Returns
+// the verdict the way Wait does: the first fatal error, or the invariant
+// checker's, or nil.
 func (s *Server) FinishExternal() error {
 	s.mu.Lock()
-	s.drainEngineLocked()
-	for s.fatal == nil && !s.eng.Done() {
-		s.stepLocked(false)
-	}
 	if s.fatal == nil && s.journal != nil {
 		if err := s.journal.Sync(); err != nil {
 			// A torn final flush must not masquerade as a clean shutdown:
@@ -116,9 +107,7 @@ func (s *Server) finish() {
 // verdict is the server's final outcome: the first fatal error, else the
 // invariant checker's, else nil.
 func (s *Server) verdict() error {
-	s.mu.Lock()
-	err := s.fatal
-	s.mu.Unlock()
+	err := s.Fatal()
 	if err == nil && s.checker != nil {
 		err = s.checker.Err()
 	}

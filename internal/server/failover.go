@@ -93,14 +93,13 @@ func (s *Server) Fence(epoch uint32, winner string) {
 }
 
 // Retarget implements failover.Node: re-point the tail at the promoted
-// leader (same operation as POST /api/v1/retarget, driven by the supervisor
-// instead of an operator).
+// leader (POST /api/v1/retarget, or the supervisor after an election).
 func (s *Server) Retarget(leader string) {
 	if s.tailer == nil || !s.isFollower() {
 		return
 	}
 	s.tailer.SetLeader(leader)
-	s.log.Info("retargeted by failover supervisor", "leader", s.tailer.Leader())
+	s.log.Info("retargeted", "leader", s.tailer.Leader())
 }
 
 // Promise implements failover.Node: evaluate one fencing claim — candidate
@@ -125,13 +124,15 @@ func (s *Server) Promise(epoch uint32, candidate string, candidateBytes int64) f
 	switch {
 	case s.fenced.Load():
 		resp.Reason = "fenced"
-	case epoch <= resp.Epoch:
-		resp.Reason = fmt.Sprintf("epoch %d is not beyond current %d", epoch, resp.Epoch)
 	case !s.isFollower():
 		// A reachable live leader never grants: if a majority can reach it,
 		// no death quorum can form, so a claim reaching here is premature.
+		// It always names itself — also to a claim at the epoch it just
+		// won, so the losing claimant learns where writes now go.
 		resp.Holder = self
 		resp.Reason = "live leader"
+	case epoch <= resp.Epoch:
+		resp.Reason = fmt.Sprintf("epoch %d is not beyond current %d", epoch, resp.Epoch)
 	case candidateBytes < resp.JournalBytes ||
 		(candidateBytes == resp.JournalBytes && candidate != self && candidate > self):
 		// Longest-prefix rule: never back a candidate whose journal is

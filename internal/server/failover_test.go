@@ -385,6 +385,24 @@ func TestConcurrentPromoteSerializes(t *testing.T) {
 	_ = s2
 }
 
+// TestLiveLeaderNamesItself: an unfenced leader denies every claim and
+// names itself as the holder — also a claim at its own epoch, which is what
+// a concurrent claimant sees right after the winner sealed that epoch.
+func TestLiveLeaderNamesItself(t *testing.T) {
+	const self = "http://leader.test:7133"
+	s, err := New(Config{Advertise: self})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.finish()
+	for _, epoch := range []uint32{s.Epoch(), s.Epoch() + 1} {
+		resp := s.Promise(epoch, "http://other.test:7134", 0)
+		if resp.Granted || resp.Holder != self {
+			t.Fatalf("Promise(%d) = %+v, want a denial naming %s", epoch, resp, self)
+		}
+	}
+}
+
 // TestSplitBrainFencesOldLeader: partition a leader that keeps accepting a
 // write, let the majority elect a successor, and heal. The old leader must
 // fence itself (409s naming the successor, "fenced" health, non-zero exit),

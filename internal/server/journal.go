@@ -226,18 +226,24 @@ func encodeEpoch(rec epochRecord) []byte {
 	return e.Bytes()
 }
 
-func decodeEpoch(body []byte) (epochRecord, error) {
-	d := persist.NewDec(body)
-	rec := epochRecord{epoch: uint32(d.Uvarint()), leader: d.String()}
+// decodeEpoch decodes an epoch record and cross-checks it against the
+// epoch the record was framed under.
+func decodeEpoch(rec persist.Record) (epochRecord, error) {
+	d := persist.NewDec(rec.Body)
+	ep := epochRecord{epoch: uint32(d.Uvarint()), leader: d.String()}
 	if err := d.Err(); err != nil {
 		return epochRecord{}, fmt.Errorf("journal epoch record: %w", err)
 	}
-	if rec.epoch < 2 {
+	if ep.epoch < 2 {
 		// Epoch 1 is the journal's birth term; a promotion can only ever
 		// step beyond it.
-		return epochRecord{}, fmt.Errorf("journal epoch record: implausible epoch %d", rec.epoch)
+		return epochRecord{}, fmt.Errorf("journal epoch record: implausible epoch %d", ep.epoch)
 	}
-	return rec, nil
+	if ep.epoch != rec.Epoch {
+		return epochRecord{}, fmt.Errorf("journal epoch record: body says %d, framing says %d",
+			ep.epoch, rec.Epoch)
+	}
+	return ep, nil
 }
 
 // snapshotRecord carries one engine snapshot plus the server-side counters

@@ -9,19 +9,18 @@ import (
 	"abg/internal/alloc"
 	"abg/internal/core"
 	"abg/internal/fault"
-	"abg/internal/job"
-	"abg/internal/obs"
 	"abg/internal/persist"
 	"abg/internal/sim"
 )
 
 // Crash recovery. The journal records every externally-sourced decision
-// (see journal.go); the engine is bit-identically replay-deterministic; so
-// recovery is: restore the last snapshot, re-submit the jobs admitted after
-// it with their journaled admission boundaries pinned as releases, replay
-// the engine across those boundaries (which re-emits the same events under
-// the same SSE ids), and re-queue acked-but-unadmitted submissions. The
-// daemon then resumes as if the crash were a pause: same job ids, same
+// (see journal.go) and the engine is bit-identically replay-deterministic,
+// so recovery applies the journal's records through the same handlers the
+// leader and its followers use (apply.go), with one rule of its own: the
+// engine is held back until the last snapshot restores it, and the records
+// after that snapshot re-execute their quanta (re-emitting the same events
+// under the same SSE ids). Acked-but-unadmitted submissions stay queued.
+// The daemon then resumes as if the crash were a pause: same job ids, same
 // completion times, same event stream.
 
 // RecoveryDTO is served at /api/v1/recovery: what the boot-time recovery
@@ -82,10 +81,11 @@ func (s *Server) openJournal() error {
 			return nil
 		}
 		// Fresh journal: stamp it with this daemon's configuration.
-		if err := j.Append(persist.KindHeader, encodeHeader(s.headerRecord())); err != nil {
+		h := s.headerRecord()
+		if err := j.Append(persist.KindHeader, encodeHeader(h)); err != nil {
 			return fmt.Errorf("server: journal header: %w", err)
 		}
-		return nil
+		return s.applyHeader(h)
 	}
 	if err := s.recoverRecords(scan.Records); err != nil {
 		return fmt.Errorf("server: recover %s: %w", j.Path(), err)
@@ -101,28 +101,42 @@ func (s *Server) openJournal() error {
 	return nil
 }
 
-// journalLog is the decoded, cross-checked content of a journal.
+// recoverRecords rebuilds the daemon's state by applying the journal's
+// clean records through the record handlers (apply.go), holding the engine
+// back until the last snapshot restores it.
+func (s *Server) recoverRecords(records []persist.Record) error {
+	last := 0 // the record the replay starts after: the header, or the last snapshot
+	for i, rec := range records {
+		if rec.Kind == persist.KindSnapshot {
+			if s.hold == nil {
+				s.hold = &bootHold{}
+			}
+			s.hold.snapshots++
+			last = i
+		}
+	}
+	for i, rec := range records {
+		if err := s.applyRecord(rec); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	s.recovery.ReplayedRecords = len(records) - 1 - last
+	s.recovery.ReplayedBoundaries = s.eng.Boundary() - s.recovery.SnapshotBoundary
+	s.recovery.ResumedJobs = s.eng.NumJobs()
+	s.recovery.RequeuedJobs = len(s.queue)
+	return nil
+}
+
+// journalLog is the decoded, cross-checked content of a journal, as the
+// reference replay reads it.
 type journalLog struct {
 	header   headerRecord
 	submits  []submitRecord
-	admits   []admitRecord // in journal order; ids ascend across records
-	admitted map[int]int   // job id → admission boundary
-	// snap is the last snapshot, with snapAdmits the number of jobs
-	// admitted before it (== the job count inside the engine blob).
-	snap        *snapshotRecord
-	snapAdmits  int
-	snapRecords int // records up to and including the snapshot
-	// maxStep is the highest journaled step boundary (-1 when the journal
-	// predates step records): the engine provably executed every boundary up
-	// to and including it, so recovery replays that far even past the last
-	// admission, landing on the exact state the writer held.
-	maxStep int
+	admitted []int // admission boundary by job id
 	// shares maps step boundaries to the cluster-assigned capacity shares
 	// their quanta executed under (cluster-shard journals only; see
-	// stepRecord). Recovery must install them before replaying.
-	shares  map[int]int
-	drained bool
-	nextID  int
+	// stepRecord).
+	shares map[int]int
 }
 
 // parseJournal decodes and sanity-checks a clean record stream.
@@ -134,7 +148,8 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	lg := &journalLog{header: h, admitted: make(map[int]int), maxStep: -1}
+	lg := &journalLog{header: h, shares: make(map[int]int)}
+	submitted, maxStep := 0, -1
 	for i, rec := range records[1:] {
 		switch rec.Kind {
 		case persist.KindHeader:
@@ -144,11 +159,11 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 			if err != nil {
 				return nil, fmt.Errorf("record %d: %w", i+1, err)
 			}
-			if sub.firstID != lg.nextID {
+			if sub.firstID != submitted {
 				return nil, fmt.Errorf("record %d: submit ids start at %d, expected %d",
-					i+1, sub.firstID, lg.nextID)
+					i+1, sub.firstID, submitted)
 			}
-			lg.nextID = sub.firstID + sub.count
+			submitted = sub.firstID + sub.count
 			lg.submits = append(lg.submits, sub)
 		case persist.KindAdmit:
 			adm, err := decodeAdmit(rec.Body)
@@ -162,50 +177,38 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 					return nil, fmt.Errorf("record %d: admit id %d out of order (expected %d)",
 						i+1, id, len(lg.admitted))
 				}
-				if id >= lg.nextID {
+				if id >= submitted {
 					return nil, fmt.Errorf("record %d: admit id %d was never submitted", i+1, id)
 				}
-				lg.admitted[id] = adm.boundary
+				lg.admitted = append(lg.admitted, adm.boundary)
 			}
-			lg.admits = append(lg.admits, adm)
-		case persist.KindDrain:
-			lg.drained = true
 		case persist.KindStep:
 			st, err := decodeStep(rec.Body)
 			if err != nil {
 				return nil, fmt.Errorf("record %d: %w", i+1, err)
 			}
-			if st.boundary < lg.maxStep {
+			if st.boundary < maxStep {
 				return nil, fmt.Errorf("record %d: step boundary %d below previous %d",
-					i+1, st.boundary, lg.maxStep)
+					i+1, st.boundary, maxStep)
 			}
-			lg.maxStep = st.boundary
+			maxStep = st.boundary
 			if st.share >= 0 {
-				if lg.shares == nil {
-					lg.shares = make(map[int]int)
-				}
 				lg.shares[st.boundary] = st.share
 			}
 		case persist.KindSnapshot:
-			snap, err := decodeSnapshot(rec.Body)
-			if err != nil {
+			// The reference replays from boundary zero, but a snapshot it
+			// cannot decode still marks a corrupt journal.
+			if _, err := decodeSnapshot(rec.Body); err != nil {
 				return nil, fmt.Errorf("record %d: %w", i+1, err)
 			}
-			lg.snap = &snap
-			lg.snapAdmits = len(lg.admitted)
-			lg.snapRecords = i + 2 // header + records[0..i]
 		case persist.KindEpoch:
-			// A leadership change. The scheduling replay ignores it (an epoch
-			// record mutates no engine state), but the cross-check against the
-			// framing epoch still catches a corrupted promotion.
-			ep, err := decodeEpoch(rec.Body)
-			if err != nil {
+			// A leadership change mutates no engine state, but the
+			// cross-check against the framing epoch still catches a
+			// corrupted promotion.
+			if _, err := decodeEpoch(rec); err != nil {
 				return nil, fmt.Errorf("record %d: %w", i+1, err)
 			}
-			if ep.epoch != rec.Epoch {
-				return nil, fmt.Errorf("record %d: epoch record body says %d, framing says %d",
-					i+1, ep.epoch, rec.Epoch)
-			}
+		case persist.KindDrain:
 		default:
 			return nil, fmt.Errorf("record %d: unknown kind %d", i+1, rec.Kind)
 		}
@@ -213,200 +216,15 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 	return lg, nil
 }
 
-// submitFor resolves a job id to its submission record and the job's index
-// within that request.
-func (lg *journalLog) submitFor(id int) (submitRecord, int, error) {
-	return submitIn(lg.submits, id)
-}
-
-// replaySpec rebuilds the engine-facing JobSpec for one journaled job —
-// the same construction the live admission path performs, pinned to the
-// journaled admission boundary via Release.
-func replaySpec(sub submitRecord, idx, id, l int, release int64,
-	plan fault.Plan, scheduler core.Scheduler, bus *obs.Bus) sim.JobSpec {
-	profile := sub.req.BuildProfile(idx, l)
-	spec := sim.JobSpec{
-		Name:    sub.req.jobName(idx, id),
-		Inst:    job.NewRun(profile),
-		Policy:  plan.Policy(scheduler.NewPolicy(), id, bus),
-		Sched:   scheduler.TaskScheduler(),
-		Release: release,
-	}
-	if at := plan.RestartHook(id); at != nil {
-		p := profile
-		spec.Restart = &sim.RestartPlan{
-			At:  at,
-			New: func() job.Instance { return job.NewRun(p) },
-			Max: plan.MaxRestarts,
-		}
-	}
-	return spec
-}
-
-// recoverRecords rebuilds the daemon's state from a parsed journal.
-func (s *Server) recoverRecords(records []persist.Record) error {
-	lg, err := parseJournal(records)
-	if err != nil {
-		return err
-	}
-	if got, want := lg.header, s.headerRecord(); got != want {
-		return fmt.Errorf("journal written under a different configuration:\n  journal: %+v\n  daemon:  %+v",
-			got, want)
-	}
-	// Cluster-shard journals pin each executed quantum's capacity share;
-	// those shares must be back in the table before any boundary replays,
-	// or the replay would run under the wrong machine size.
-	if len(lg.shares) > 0 {
-		t, ok := s.capacity.(*ShareTable)
-		if !ok {
-			return fmt.Errorf("journal carries cluster capacity shares; boot it behind the cluster layer (abgd -cluster)")
-		}
-		for b, share := range lg.shares {
-			t.Set(b+1, share)
-		}
-	}
-	l64 := int64(s.cfg.L)
-
-	// 1. Restore the snapshot, if any: rebuild a fresh spec for every job
-	// the snapshotted engine held (ids 0..snapAdmits-1) and load the
-	// cursors onto them.
-	if lg.snap != nil {
-		specs := make([]sim.JobSpec, lg.snapAdmits)
-		for id := 0; id < lg.snapAdmits; id++ {
-			sub, idx, err := lg.submitFor(id)
-			if err != nil {
-				return err
-			}
-			specs[id] = replaySpec(sub, idx, id, s.cfg.L,
-				int64(lg.admitted[id])*l64, s.plan, s.sched, s.bus)
-		}
-		eng, err := sim.RestoreEngine(sim.MultiConfig{
-			P: s.cfg.P, L: s.cfg.L,
-			Allocator: alloc.DynamicEquiPartition{},
-			MaxQuanta: s.cfg.MaxQuanta,
-			Obs:       s.bus,
-			Capacity:  s.capacity,
-			// The ring is observational and excluded from snapshots; the
-			// recovered engine records samples for the quanta it replays.
-			TimelineRing: s.cfg.TimelineRing,
-			StepWorkers:  s.cfg.StepWorkers,
-		}, lg.snap.engine, specs)
-		if err != nil {
-			return err
-		}
-		s.eng = eng
-		s.hub.SetSeq(0, lg.snap.sseSeq)
-		s.lastSnapQ = lg.snap.quanta
-		s.lastSnapSeq = lg.snap.sseSeq
-		s.recovery.SnapshotQuantum = lg.snap.quanta
-		s.recovery.SnapshotBoundary = lg.snap.boundary
-		s.recovery.ReplayedRecords = len(records) - lg.snapRecords
-	} else {
-		s.recovery.ReplayedRecords = len(records) - 1 // everything after the header
-	}
-
-	// 2. Prime the invariant checker with the restored jobs' mid-run state:
-	// it never saw the pre-snapshot events, so deprivation and attempt-work
-	// accounting must be seeded, not inferred.
-	if s.checker != nil {
-		for id, rs := range s.eng.ResumeStates() {
-			if rs.Started && !rs.Done {
-				s.checker.Resume(id, rs.Deprived, rs.AttemptWork)
-			}
-		}
-	}
-
-	// 3. Re-submit the jobs admitted after the snapshot. Release pins each
-	// job to its journaled admission boundary, so the replay below admits
-	// it exactly where the crashed run did.
-	maxBoundary := -1
-	for id := s.eng.NumJobs(); id < len(lg.admitted); id++ {
-		sub, idx, err := lg.submitFor(id)
-		if err != nil {
-			return err
-		}
-		b := lg.admitted[id]
-		got, err := s.eng.Submit(replaySpec(sub, idx, id, s.cfg.L,
-			int64(b)*l64, s.plan, s.sched, s.bus))
-		if err != nil {
-			return err
-		}
-		if got != id {
-			return fmt.Errorf("replay id skew: engine assigned %d, journal has %d", got, id)
-		}
-		if b > maxBoundary {
-			maxBoundary = b
-		}
-	}
-
-	// 4. Replay the engine across the journaled boundaries. The re-executed
-	// quanta re-emit the original events under the original SSE ids —
-	// determinism makes the replay indistinguishable from the run it
-	// reconstructs. Step records extend the replay past the last admission
-	// to the last quantum the writer provably executed; on journals that
-	// predate step records (maxStep == -1) any further quanta replay
-	// themselves after boot, the same way.
-	if lg.maxStep > maxBoundary {
-		maxBoundary = lg.maxStep
-	}
-	for s.eng.Boundary() <= maxBoundary {
-		if _, err := s.eng.Step(); err != nil {
-			return fmt.Errorf("replay boundary %d: %w", s.eng.Boundary(), err)
-		}
-		s.recovery.ReplayedBoundaries++
-	}
-	if t, ok := s.capacity.(*ShareTable); ok {
-		t.PruneBelow(s.eng.Boundary())
-	}
-	s.recovery.ResumedJobs = s.eng.NumJobs()
-
-	// 5. Re-queue acked submissions that were never admitted, and restore
-	// the idempotency-key table so retried submissions keep deduplicating.
-	for _, sub := range lg.submits {
-		ids := make([]int, sub.count)
-		for i := range ids {
-			ids[i] = sub.firstID + i
-		}
-		if sub.key != "" {
-			s.keys[sub.key] = ids
-		}
-		for i, id := range ids {
-			if _, admitted := lg.admitted[id]; !admitted {
-				s.queue = append(s.queue, pendingJob{
-					id:      id,
-					name:    sub.req.jobName(i, id),
-					profile: sub.req.BuildProfile(i, s.cfg.L),
-				})
-				s.recovery.RequeuedJobs++
-			}
-		}
-	}
-	s.nextID = lg.nextID
-
-	// 6. A journaled drain survives the crash: finish it.
-	if lg.drained {
-		s.draining.Store(true)
-	}
-
-	// 7. A follower keeps the parsed submit/admit bookkeeping: the live
-	// stream continues applying records incrementally from exactly here.
-	if s.isFollower() {
-		s.repl = replState{
-			headerSeen: true,
-			submits:    lg.submits,
-			admitted:   len(lg.admitted),
-			maxStep:    lg.maxStep,
-		}
-	}
-	return nil
-}
-
 // ReferenceResult replays a journal offline, from boundary zero and without
 // any snapshot, and returns the final status of every admitted job. It is
 // the crash soak's ground truth: a daemon that crash-recovered any number
 // of times must report job results DeepEqual to this uninterrupted
 // reference, because both are the same deterministic function of the same
-// journal. The configuration is taken from the journal's header record.
+// journal. It shares no replay code with the daemon: every admitted job is
+// submitted up front with its admission boundary pinned as its release,
+// step records are ignored, and the engine runs until done. The
+// configuration is taken from the journal's header record.
 func ReferenceResult(dir string) ([]JobStatusDTO, error) {
 	scan, err := persist.ScanFile(filepath.Join(dir, persist.JournalFile))
 	if err != nil {
@@ -449,18 +267,17 @@ func ReferenceResult(dir string) ([]JobStatusDTO, error) {
 	if err != nil {
 		return nil, err
 	}
-	for id := 0; id < len(lg.admitted); id++ {
-		sub, idx, err := lg.submitFor(id)
-		if err != nil {
-			return nil, fmt.Errorf("server: reference: %w", err)
-		}
-		got, err := eng.Submit(replaySpec(sub, idx, id, h.l,
-			int64(lg.admitted[id])*int64(h.l), plan, scheduler, nil))
-		if err != nil {
-			return nil, err
-		}
-		if got != id {
-			return nil, fmt.Errorf("server: reference: id skew at job %d", id)
+	for _, sub := range lg.submits {
+		for i := 0; i < sub.count && sub.firstID+i < len(lg.admitted); i++ {
+			id := sub.firstID + i
+			p := pendingJob{id: id, name: sub.req.jobName(i, id), profile: sub.req.BuildProfile(i, h.l)}
+			got, err := eng.Submit(buildSpec(plan, scheduler, nil, p, int64(lg.admitted[id])*int64(h.l)))
+			if err != nil {
+				return nil, err
+			}
+			if got != id {
+				return nil, fmt.Errorf("server: reference: id skew at job %d", id)
+			}
 		}
 	}
 	for !eng.Done() {

@@ -19,13 +19,14 @@ import (
 // the engine is bit-identically replay-deterministic, so replication is
 // journal shipping: a leader streams its journal file's bytes; a follower
 // appends each shipped record to its own journal (keeping its file a byte
-// prefix of the leader's) and applies it to its own engine through the same
-// code paths boot recovery uses. Follower state is therefore a pure
-// function of its applied byte offset — at equal offsets, leader and
-// follower hold identical engines, identical job results, and identical
-// SSE event ids, which is what lets followers serve reads (/state, job
-// status, /metrics, /api/v1/events) and re-serve the event stream to their
-// own subscribers while the leader takes only writes. Followers also serve
+// prefix of the leader's) and applies it to its own engine through the
+// per-kind record handlers the leader and boot recovery use (apply.go).
+// Follower state is therefore a pure function of its applied byte offset —
+// at equal offsets, leader and follower hold identical engines, identical
+// job results, and identical SSE event ids, which is what lets followers
+// serve reads (/state, job status, /metrics, /api/v1/events) and re-serve
+// the event stream to their own subscribers while the leader takes only
+// writes. Followers also serve
 // /api/v1/journal themselves, so followers can chain off followers (a
 // fan-out relay tier).
 //
@@ -75,17 +76,6 @@ func (r Role) String() string {
 // isFollower reports whether the daemon currently serves in follower role.
 func (s *Server) isFollower() bool { return Role(s.role.Load()) == RoleFollower }
 
-// replState is the follower's incremental view of the shipped journal —
-// the same bookkeeping parseJournal derives at boot, maintained record by
-// record as the stream applies.
-type replState struct {
-	headerSeen bool
-	submits    []submitRecord // resolve job ids → specs at admit time
-	admitted   int            // jobs handed to the engine so far
-	applied    int64          // records applied since boot (recovery + stream)
-	maxStep    int            // highest applied step boundary
-}
-
 // shippedApplier adapts the Server's follower role onto replica.Applier.
 type shippedApplier struct{ s *Server }
 
@@ -95,9 +85,10 @@ func (a shippedApplier) Apply(rec persist.Record) error { return a.s.applyShippe
 
 // applyShipped applies one shipped journal record: append it to the local
 // journal first (identical bytes — the follower's file stays a verbatim
-// prefix of the leader's), then mutate the engine through the same
-// constructions recovery uses. Any inconsistency is fatal: a follower that
-// cannot apply must wedge loudly, never serve state it knows is divergent.
+// prefix of the leader's), then apply it through the record handlers the
+// leader and boot recovery use (apply.go). Any inconsistency is fatal: a
+// follower that cannot apply must wedge loudly, never serve state it knows
+// is divergent.
 func (s *Server) applyShipped(rec persist.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -127,187 +118,11 @@ func (s *Server) applyShipped(rec persist.Record) error {
 		s.failLocked(fmt.Errorf("replica journal append: %w", err))
 		return err
 	}
-	var err error
-	switch rec.Kind {
-	case persist.KindHeader:
-		err = s.applyHeaderLocked(rec.Body)
-	case persist.KindSubmit:
-		err = s.applySubmitLocked(rec.Body)
-	case persist.KindAdmit:
-		err = s.applyAdmitLocked(rec.Body)
-	case persist.KindStep:
-		err = s.applyStepLocked(rec.Body)
-	case persist.KindSnapshot:
-		err = s.applySnapshotLocked(rec.Body)
-	case persist.KindDrain:
-		s.draining.Store(true)
-	case persist.KindEpoch:
-		err = s.applyEpochLocked(rec)
-	default:
-		err = fmt.Errorf("unknown record kind %d", rec.Kind)
-	}
-	if err != nil {
+	if err := s.applyRecord(rec); err != nil {
 		s.failLocked(fmt.Errorf("replica apply: %w", err))
 		return err
 	}
-	s.repl.applied++
 	return nil
-}
-
-// applyEpochLocked applies a shipped leadership change: the journal epoch
-// was already raised by AppendRecord; mirror it into the served epoch so
-// this replica's API answers under the new term immediately.
-func (s *Server) applyEpochLocked(rec persist.Record) error {
-	ep, err := decodeEpoch(rec.Body)
-	if err != nil {
-		return err
-	}
-	if ep.epoch != rec.Epoch {
-		return fmt.Errorf("epoch record body says %d, framing says %d", ep.epoch, rec.Epoch)
-	}
-	s.epoch.Store(ep.epoch)
-	s.log.Info("applied leadership change", "epoch", ep.epoch, "leader", ep.leader)
-	return nil
-}
-
-func (s *Server) applyHeaderLocked(body []byte) error {
-	if s.repl.headerSeen {
-		return fmt.Errorf("duplicate header record")
-	}
-	h, err := decodeHeader(body)
-	if err != nil {
-		return err
-	}
-	if want := s.headerRecord(); h != want {
-		return fmt.Errorf("leader journal written under a different configuration:\n  leader:   %+v\n  follower: %+v",
-			h, want)
-	}
-	s.repl.headerSeen = true
-	return nil
-}
-
-func (s *Server) applySubmitLocked(body []byte) error {
-	sub, err := decodeSubmit(body)
-	if err != nil {
-		return err
-	}
-	if sub.firstID != s.nextID {
-		return fmt.Errorf("submit ids start at %d, follower expects %d", sub.firstID, s.nextID)
-	}
-	ids := make([]int, sub.count)
-	for i := range ids {
-		id := sub.firstID + i
-		ids[i] = id
-		s.queue = append(s.queue, pendingJob{
-			id:      id,
-			name:    sub.req.jobName(i, id),
-			profile: sub.req.BuildProfile(i, s.cfg.L),
-		})
-	}
-	if sub.key != "" {
-		s.keys[sub.key] = ids
-	}
-	s.nextID = sub.firstID + sub.count
-	s.repl.submits = append(s.repl.submits, sub)
-	return nil
-}
-
-func (s *Server) applyAdmitLocked(body []byte) error {
-	adm, err := decodeAdmit(body)
-	if err != nil {
-		return err
-	}
-	// The leader admits its entire queue at a boundary, so the record's ids
-	// must be exactly the follower's queued jobs, in order.
-	if len(adm.ids) != len(s.queue) {
-		return fmt.Errorf("admit covers %d jobs, follower queue holds %d", len(adm.ids), len(s.queue))
-	}
-	l64 := int64(s.cfg.L)
-	for _, id := range adm.ids {
-		if id != s.repl.admitted {
-			return fmt.Errorf("admit id %d out of order (follower expects %d)", id, s.repl.admitted)
-		}
-		sub, idx, err := submitIn(s.repl.submits, id)
-		if err != nil {
-			return err
-		}
-		got, err := s.eng.Submit(replaySpec(sub, idx, id, s.cfg.L,
-			int64(adm.boundary)*l64, s.plan, s.sched, s.bus))
-		if err != nil {
-			return err
-		}
-		if got != id {
-			return fmt.Errorf("id skew: engine assigned %d, record has %d", got, id)
-		}
-		s.repl.admitted++
-	}
-	s.queue = s.queue[:0]
-	return nil
-}
-
-func (s *Server) applyStepLocked(body []byte) error {
-	st, err := decodeStep(body)
-	if err != nil {
-		return err
-	}
-	if st.boundary < s.repl.maxStep {
-		return fmt.Errorf("step boundary %d below previous %d", st.boundary, s.repl.maxStep)
-	}
-	s.repl.maxStep = st.boundary
-	if st.share >= 0 {
-		// A cluster shard's record: the follower must execute this quantum
-		// under the leader's pinned share or it diverges.
-		t, ok := s.capacity.(*ShareTable)
-		if !ok {
-			return fmt.Errorf("leader journal carries cluster capacity shares; boot the follower behind the cluster layer")
-		}
-		t.Set(st.boundary+1, st.share)
-	}
-	// Catch up to and execute the recorded boundary. Idle boundaries the
-	// leader skipped journaling replay here as idle steps (or a single
-	// fast-forward when only future releases are pending) — both paths land
-	// exactly on the recorded boundary, then execute the same quantum the
-	// leader executed, re-emitting its events under its SSE ids.
-	for s.eng.Boundary() <= st.boundary {
-		if _, err := s.eng.Step(); err != nil {
-			return fmt.Errorf("step boundary %d: %w", s.eng.Boundary(), err)
-		}
-	}
-	return nil
-}
-
-// applySnapshotLocked treats the leader's snapshot as a cross-check, not a
-// restore: the follower already holds the state by construction, so the
-// snapshot's coordinates must match exactly — a cheap, continuous proof
-// that the replica has not diverged. (The full engine blob is already in
-// the follower's journal for its own boot recovery.)
-func (s *Server) applySnapshotLocked(body []byte) error {
-	snap, err := decodeSnapshot(body)
-	if err != nil {
-		return err
-	}
-	if snap.boundary != s.eng.Boundary() || snap.quanta != s.eng.QuantaElapsed() {
-		return fmt.Errorf("diverged from leader: snapshot at boundary %d quanta %d, follower at %d/%d",
-			snap.boundary, snap.quanta, s.eng.Boundary(), s.eng.QuantaElapsed())
-	}
-	if seq := s.hub.Seq(); snap.sseSeq != seq {
-		return fmt.Errorf("diverged from leader: snapshot SSE seq %d, follower at %d", snap.sseSeq, seq)
-	}
-	s.lastSnapQ = snap.quanta
-	s.lastSnapSeq = snap.sseSeq
-	s.snapshotCount++
-	s.metrics.snapshots.Inc()
-	return nil
-}
-
-// submitIn resolves a job id to its submission record and index within it.
-func submitIn(submits []submitRecord, id int) (submitRecord, int, error) {
-	for _, sub := range submits {
-		if id >= sub.firstID && id < sub.firstID+sub.count {
-			return sub, id - sub.firstID, nil
-		}
-	}
-	return submitRecord{}, 0, fmt.Errorf("job %d has no submit record", id)
 }
 
 // follow is the follower's driver goroutine: tail the leader until the
@@ -334,27 +149,13 @@ func (s *Server) follow(ctx context.Context) {
 		// becomes the quantum clock (or, if the dead leader had already
 		// drained, just finishes the drain).
 		s.sealPromotion()
-		if !s.draining.Load() {
-			s.log.Info("follower promoted, starting quantum clock",
-				"epoch", s.epoch.Load(), "boundary", s.boundaryNow(),
-				"journalBytes", s.journal.Size())
-		}
 		s.drive(ctx)
 		return
 	}
-	s.mu.Lock()
-	fatal := s.fatal
-	s.mu.Unlock()
-	if s.draining.Load() && fatal == nil {
+	if s.draining.Load() && s.Fatal() == nil {
 		s.log.Info("follower drained with leader", "jobs", s.completedJobs())
 	}
 	s.finish()
-}
-
-func (s *Server) boundaryNow() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Boundary()
 }
 
 // closeDrained and closeStopped make the lifecycle channels safe to close
@@ -379,7 +180,7 @@ func (s *Server) Promote(reason string) error {
 // own claim was still collecting grants.
 func (s *Server) PromoteTo(epoch uint32, reason string) error {
 	s.mu.Lock()
-	ready := s.repl.headerSeen
+	ready := s.headerSeen
 	promised := s.promiseEpoch == epoch && s.promiseHolder == s.advertise()
 	s.mu.Unlock()
 	if !ready {
@@ -417,10 +218,11 @@ func (s *Server) sealPromotion() {
 	if epoch == 0 || s.journal == nil || s.fatal != nil {
 		return
 	}
+	rec := epochRecord{epoch: epoch, leader: s.advertise()}
 	s.journal.SetEpoch(epoch)
-	s.epoch.Store(epoch)
-	_ = s.appendJournal(persist.KindEpoch,
-		encodeEpoch(epochRecord{epoch: epoch, leader: s.advertise()}))
+	if s.appendJournal(persist.KindEpoch, encodeEpoch(rec)) == nil {
+		s.applyEpoch(rec)
+	}
 }
 
 // --- HTTP surface ---------------------------------------------------------
@@ -579,7 +381,7 @@ func (s *Server) replication() ReplicationDTO {
 			dto.LagBytes = lag
 		}
 		s.mu.Lock()
-		dto.AppliedRecords = s.repl.applied
+		dto.AppliedRecords = s.applied
 		s.mu.Unlock()
 	}
 	return dto
@@ -642,7 +444,6 @@ func (s *Server) handleRetarget(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "leader is required")
 		return
 	}
-	s.tailer.SetLeader(req.Leader)
-	s.log.Info("retargeted", "leader", s.tailer.Leader())
+	s.Retarget(req.Leader)
 	WriteJSON(w, http.StatusOK, s.replication())
 }

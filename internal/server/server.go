@@ -315,11 +315,15 @@ type Server struct {
 	unsubMetrics func()
 	log          *slog.Logger
 
+	// mu guards the engine and the state the record handlers change (apply.go).
 	mu            sync.Mutex
 	eng           *sim.Engine
 	queue         []pendingJob
 	nextID        int
 	keys          map[string][]int // idempotency key → promised ids
+	headerSeen    bool             // the journal's header record has applied
+	applied       int64            // records applied through applyRecord
+	hold          *bootHold        // boot only, until the last snapshot
 	fatal         error
 	recovery      RecoveryDTO
 	lastSnapQ     int    // QuantaElapsed at the last written snapshot
@@ -329,11 +333,10 @@ type Server struct {
 	journal *persist.Journal
 
 	// Replication (see replication.go). role is RoleLeader or RoleFollower;
-	// a follower's tailer streams the leader's journal into repl/engine.
+	// a follower's tailer streams the leader's journal into the applier.
 	role       atomic.Int32
 	promotions atomic.Int64
 	tailer     *replica.Tailer
-	repl       replState
 
 	// Failover (see failover.go, internal/failover). epoch is the leadership
 	// term served under; fenced flips once, permanently, when a successor's
@@ -382,19 +385,6 @@ func New(cfg Config) (*Server, error) {
 	if capacity == nil {
 		capacity = plan.Capacity
 	}
-	eng, err := sim.NewEngine(sim.MultiConfig{
-		P: cfg.P, L: cfg.L,
-		Allocator: alloc.DynamicEquiPartition{},
-		MaxQuanta: cfg.MaxQuanta,
-		Obs:       cfg.Bus,
-		Capacity:  capacity,
-		// Observational: the ring never perturbs scheduling or snapshots.
-		TimelineRing: cfg.TimelineRing,
-		StepWorkers:  cfg.StepWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:      cfg,
 		sched:    scheduler,
@@ -405,12 +395,14 @@ func New(cfg Config) (*Server, error) {
 		hist:     newHistory(256),
 		traces:   newTraceStore(),
 		log:      obs.Component("server"),
-		eng:      eng,
 		keys:     make(map[string][]int),
 		wake:     make(chan struct{}, 1),
 		drained:  make(chan struct{}),
 		stopped:  make(chan struct{}),
 		started:  time.Now(),
+	}
+	if s.eng, err = sim.NewEngine(s.engineConfig()); err != nil {
+		return nil, err
 	}
 	s.metrics = newServerMetrics(cfg.Metrics)
 	s.bus.Subscribe(s.hub)
@@ -464,6 +456,22 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics.recordRecovery(s.recovery)
 	return s, nil
+}
+
+// engineConfig is the engine's configuration, shared by New and the
+// snapshot restore at boot.
+func (s *Server) engineConfig() sim.MultiConfig {
+	return sim.MultiConfig{
+		P: s.cfg.P, L: s.cfg.L,
+		Allocator: alloc.DynamicEquiPartition{},
+		MaxQuanta: s.cfg.MaxQuanta,
+		Obs:       s.bus,
+		Capacity:  s.capacity,
+		// Observational: the ring never perturbs scheduling and is excluded
+		// from snapshots.
+		TimelineRing: s.cfg.TimelineRing,
+		StepWorkers:  s.cfg.StepWorkers,
+	}
 }
 
 // Start binds the listener and launches the quantum-clock driver and the
@@ -521,11 +529,13 @@ func (s *Server) Addr() string {
 // drain instead of reopening admission.
 func (s *Server) Drain() {
 	s.mu.Lock()
-	// Flag and record change under one lock hold: the clock's closing steps
+	// Record and flag change under one lock hold: the clock's closing steps
 	// take the lock too, so the drain record always precedes them.
-	if s.draining.CompareAndSwap(false, true) {
+	if !s.draining.Load() {
 		s.log.Info("drain initiated")
-		_ = s.appendJournal(persist.KindDrain, nil)
+		if s.appendJournal(persist.KindDrain, nil) == nil {
+			s.applyDrain()
+		}
 	}
 	s.mu.Unlock()
 	s.notify()
@@ -668,13 +678,13 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 		return SubmitResponse{}, http.StatusTooManyRequests,
 			fmt.Errorf("admission queue full (%d/%d)", depth, s.cfg.QueueLimit)
 	}
-	firstID := s.nextID
+	sub := submitRecord{firstID: s.nextID, count: req.Count, key: req.Key, req: req}
 	// The journal record precedes the ack: once the client hears 202, the
 	// submission is recoverable. The reverse order would let a crash forget
 	// an acked job.
 	var off int64
 	if s.journal != nil {
-		body, err := encodeSubmit(submitRecord{firstID: firstID, count: req.Count, key: req.Key, req: req})
+		body, err := encodeSubmit(sub)
 		if err == nil {
 			err = s.appendJournal(persist.KindSubmit, body)
 		}
@@ -685,18 +695,7 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 		}
 		off = s.journal.Size()
 	}
-	ids := make([]int, req.Count)
-	for i := range profiles {
-		id := s.nextID
-		s.nextID++
-		ids[i] = id
-		s.queue = append(s.queue, pendingJob{
-			id: id, name: req.jobName(i, id), profile: profiles[i],
-		})
-	}
-	if req.Key != "" {
-		s.keys[req.Key] = ids
-	}
+	ids, _ := s.applySubmit(sub, profiles) // cannot fail: firstID is nextID
 	depth := len(s.queue)
 	now := s.eng.Now()
 	s.mu.Unlock()

@@ -27,6 +27,13 @@ go test -race -count=1 \
     -run 'TestParallelStepEquivalence|TestParallelSnapshotRestoreEquivalence' \
     ./internal/sim/
 
+echo "== one apply path guard (boot on every record prefix == follower, recovery, replication)"
+# Leader, follower and boot recovery change daemon state through the same
+# per-kind journal handlers: a daemon booted on any record prefix must stand
+# where a follower that applied it stands, and recover to the reference.
+go test -race -count=1 -run 'TestRecoverEveryRecordPrefix|TestRecovery|TestFollower' ./internal/server/
+go test -race -count=1 -run 'TestClusterCrashRecovery' ./internal/cluster/
+
 echo "== benchmark harness checks (perfbench)"
 # The benchmark is its own module (perfbench/, run by perfbench/run.sh); its
 # tests pin the workload checks and statistics without running a workload.
